@@ -15,6 +15,7 @@ or input errors.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -171,16 +172,19 @@ def run_sweep(config: SweepConfig) -> SweepResult:
         raise InvalidArgumentError("need 5 <= n_min <= n_max")
     if config.per_cell < 1:
         raise InvalidArgumentError("need at least one instance per cell")
+    if config.workers < 1:
+        raise InvalidArgumentError("need at least one worker")
+    workers = min(config.workers, os.cpu_count() or 1)
     tasks = [
         (n, p, idx, config.seed * 1000003 + n * 1009 + idx, config.limit)
         for p in config.p_values
         for n in range(config.n_min, config.n_max + 1)
         for idx in range(config.per_cell)
     ]
-    if config.workers <= 1:
+    if workers == 1:
         groups = [_sweep_cell(t) for t in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             groups = list(pool.map(_sweep_cell, tasks, chunksize=8))
     records = tuple(r for g in groups for r in g)
     plain = [r.ratio for r in records if r.predicate == "plain"]

@@ -18,13 +18,20 @@ same four endpoint patterns stay correct when two removed edges are
 adjacent (one segment degenerates to a single vertex); duplicates and
 impure patterns are filtered per removal tuple.
 
-find_improving runs a vectorised scan over all candidate gains and returns
-the same move the plain generator would find first; the generator is the
-reference semantics and the scan is checked against it in the tests.
+find_improving runs a vectorised scan instead of the generator.  It
+tabulates the gain of every candidate by removed-edge positions.  Under ++
+it also tabulates dz, the change in the number of isolated vertices, which
+depends only on the at most six endpoints of the removed edges.  Each
+table becomes a mask of accepted candidates (gain >= 1, or under ++ also
+gain = 0 and dz < 0), and one argmin over the masks picks the least
+accepted key.  That is the move the generator would accept first.  The
+generator with is_improving_pp is the reference semantics, and the tests
+check the scan against it.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, replace
 from typing import Iterator
@@ -182,7 +189,7 @@ def apply_move(tour: Tour, move: KMove) -> Tour:
         adj[u].append(v)
         adj[v].append(u)
     if any(len(nbrs) != 2 for nbrs in adj.values()):
-        raise RuntimeError("reconnection does not form a single cycle (bad degree)")
+        raise InvalidMoveError("reconnection does not form a single cycle (bad degree)")
     start = min(adj)
     first = min(adj[start])
     seq = [start]
@@ -192,7 +199,7 @@ def apply_move(tour: Tour, move: KMove) -> Tour:
         x, y = adj[cur]
         prev, cur = cur, (y if x == prev else x)
     if len(seq) != n:
-        raise RuntimeError("reconnection leaves more than one cycle")
+        raise InvalidMoveError("reconnection leaves more than one cycle")
     return Tour(tuple(seq))
 
 
@@ -220,48 +227,103 @@ def is_improving_pp(instance: Instance, tour: Tour, move: KMove) -> bool:
 # ---------------------------------------------------------------------------
 # Vectorised neighborhood scan.
 #
-# Gains are tabulated by removed-edge positions.  G2[x, y] covers the pair
-# (x, y); P[pid][i, j, k] covers the four patterns on pairwise non-adjacent
-# triples; Gb[x, y] covers the single pure reconnection of the triple made
-# of the adjacent pair (x, x+1) plus the edge y.  Gb entries map back to
-# their sorted position triples so all candidates share one key order:
-# (i, j) for pairs, (i, j, k, pattern_id) for triples, compared as tuples.
+# Candidates are tabulated by removed-edge positions: a pair table over
+# (i, j), one table per pattern over pairwise non-adjacent triples
+# (i, j, k), and a table over (x, y) for the single pure reconnection of the
+# triple made of the adjacent pair (x, x+1) plus the edge y.  Two
+# quantities are tabulated, each a sum of per-position and per-added-edge
+# terms:
+#
+#   gain  removed tour edge costs minus added edge costs;
+#   dz    change in the number of isolated vertices (length-0 1-paths).
+#         Only endpoints of removed edges change their tour edges.  Each
+#         keeps one tour edge and gains one added edge, except the middle
+#         vertex of an adjacent pair, which gains two.  A vertex is isolated
+#         when both its tour edges cost 2.
+#
+# Each table becomes a mask of accepted candidates: gain >= 1, or with ++
+# also gain = 0 and dz < 0.  Adjacent-pair entries map back to their sorted
+# position triples so all candidates share one key order: (i, j) for pairs,
+# (i, j, k, pattern_id) for triples, compared as tuples.  The least accepted
+# key is the first accepted move in enumeration order.
 # ---------------------------------------------------------------------------
 
 
-def _scan_tables(instance: Instance, tour: Tour, k: int) -> dict:
-    n = instance.n
-    o = np.fromiter(tour.order, dtype=np.intp, count=n)
-    A = instance.cost_matrix[np.ix_(o, o)].astype(np.int16)
-    idx = np.arange(n)
-    i1 = (idx + 1) % n
-    E = A[idx, i1]
-    ii = idx[:, None]
-    jj = idx[None, :]
-    t: dict = {"n": n}
-    t["G2"] = E[:, None] + E[None, :] - A - A[np.ix_(i1, i1)]
-    t["valid2"] = (jj - ii >= 2) & ~((ii == 0) & (jj == n - 1))
+def _position_costs(instance: Instance, tour: Tour) -> np.ndarray:
+    """Cost matrix indexed by tour position."""
+    o = np.fromiter(tour.order, dtype=np.intp, count=instance.n)
+    return instance.cost_matrix[np.ix_(o, o)].astype(np.int16)
+
+
+def _triple_sum(ij: np.ndarray, ik: np.ndarray, jk: np.ndarray) -> np.ndarray:
+    s = ij[:, :, None] + ik[:, None, :]
+    s += jk[None, :, :]
+    return s
+
+
+def _position_tables(base: np.ndarray, term: list, k: int) -> Iterator[np.ndarray]:
+    """Pair table, then for k = 3 one triple table per pattern.
+
+    The tabulated quantity of a move is base[x] summed over its removed
+    positions x, plus term[ex][ey][x, y] summed over its added edges, where
+    an added edge joins end ex of removed edge x to end ey of removed edge
+    y > x (end 0 is t[x], end 1 is t[x+1]).
+    """
+    bb = base[:, None] + base[None, :]
+    yield bb + term[0][0] + term[1][1]
     if k == 3:
-        m_ab = A
-        m_a1b = A[i1, :]
-        m_ab1 = A[:, i1]
-        m_a1b1 = A[np.ix_(i1, i1)]
-        e3 = E[:, None, None] + E[None, :, None] + E[None, None, :]
-        t["P"] = (
-            e3 - m_ab[:, :, None] - m_a1b[:, None, :] - m_a1b1[None, :, :],
-            e3 - m_ab1[:, :, None] - m_a1b[:, None, :] - m_ab1[None, :, :],
-            e3 - m_a1b1[:, :, None] - m_ab[:, None, :] - m_ab1[None, :, :],
-            e3 - m_ab1[:, :, None] - m_a1b1[:, None, :] - m_ab[None, :, :],
-        )
-        iii = idx[:, None, None]
-        jjj = idx[None, :, None]
-        kkk = idx[None, None, :]
-        t["valid_a"] = (jjj - iii >= 2) & (kkk - jjj >= 2) & ~((iii == 0) & (kkk == n - 1))
-        dch = A[idx, (idx + 2) % n]
-        t["Gb"] = (E + E[i1])[:, None] + E[None, :] - m_a1b - m_a1b1 - dch[:, None]
-        off = (jj - ii) % n
-        t["validb"] = (off >= 3) & (off <= n - 2)
-    return t
+        for pattern in _PATTERNS:
+            ij, ik, jk = (
+                term[x % 2][y % 2]
+                for x, y in sorted(pattern, key=lambda e: (e[0] // 2, e[1] // 2))
+            )
+            yield _triple_sum(bb + ij, ik, jk + base)
+
+
+def _gain_tables(A: np.ndarray, k: int) -> Iterator[np.ndarray]:
+    """Gain tables in scan order: pair, then for k = 3 patterns and adjacent pair."""
+    n = len(A)
+    idx = np.arange(n)
+    end = (idx, (idx + 1) % n)
+    E = A[idx, end[1]]
+    neg = [[-A[np.ix_(a, b)] for b in end] for a in end]
+    yield from _position_tables(E, neg, k)
+    if k == 3:
+        # Adjacent pair: t[x] joins t[x+2]; t[x+1] joins t[y] and t[y+1].
+        pair = E + E[end[1]] - A[idx, (idx + 2) % n]
+        yield pair[:, None] + E + neg[1][0] + neg[1][1]
+
+
+def _dz_tables(A: np.ndarray, k: int) -> Iterator[np.ndarray]:
+    """Isolated-vertex change tables, in the order of _gain_tables."""
+    n = len(A)
+    idx = np.arange(n)
+    end = (idx, (idx + 1) % n)
+    i2 = (idx + 2) % n
+    heavy_edge = A[idx, end[1]] == 2
+    iso = (heavy_edge[idx - 1] & heavy_edge).astype(np.int8)
+    lost = iso + iso[end[1]]
+    # keep[e][x]: the tour edge that end e of removed edge x keeps costs 2.
+    keep = (heavy_edge[idx - 1].astype(np.int8), heavy_edge[end[1]].astype(np.int8))
+    heavy = [[A[np.ix_(a, b)] == 2 for b in end] for a in end]
+    term = [
+        [heavy[ex][ey] * (keep[ex][:, None] + keep[ey][None, :]) for ey in (0, 1)]
+        for ex in (0, 1)
+    ]
+    yield from _position_tables(-lost, term, k)
+    if k == 3:
+        # t[x+1] keeps no tour edge: it ends isolated when both edges it
+        # gains, to t[y] and t[y+1], cost 2.
+        hy, hy1 = heavy[1]
+        pair = (A[idx, i2] == 2) * (keep[0] + keep[1][end[1]]) - lost - iso[i2]
+        yield pair[:, None] - lost + hy * keep[0] + hy1 * keep[1] + (hy & hy1)
+
+
+def _accept(gain: np.ndarray, dz: np.ndarray | None) -> np.ndarray:
+    ok = gain >= 1
+    if dz is not None:
+        ok |= (gain == 0) & (dz < 0)
+    return ok
 
 
 def _b_triple(n: int, x: int, y: int) -> tuple[tuple[int, int, int], int]:
@@ -273,52 +335,47 @@ def _b_triple(n: int, x: int, y: int) -> tuple[tuple[int, int, int], int]:
     return (y, x, x + 1), 2
 
 
-def _least_plain_key(t: dict, k: int) -> tuple | None:
-    n = t["n"]
+def _least_key(instance: Instance, tour: Tour, k: int, plusplus: bool) -> tuple | None:
+    n = instance.n
+    A = _position_costs(instance, tour)
+    # map drops each table as soon as its mask is built, so at most one
+    # n^3 gain table (and dz table) is alive at a time.
+    masks = map(
+        _accept,
+        _gain_tables(A, k),
+        _dz_tables(A, k) if plusplus else itertools.repeat(None),
+    )
+    idx = np.arange(n)
+    ii = idx[:, None]
+    jj = idx[None, :]
     best: tuple | None = None
-    m2 = t["valid2"] & (t["G2"] >= 1)
+    m2 = next(masks) & (jj - ii >= 2) & ~((ii == 0) & (jj == n - 1))
     if m2.any():
         flat = int(np.argmax(m2))
         best = (flat // n, flat % n)
     if k == 3:
-        imp3 = t["valid_a"] & (
-            (t["P"][0] >= 1) | (t["P"][1] >= 1) | (t["P"][2] >= 1) | (t["P"][3] >= 1)
-        )
+        acc = [next(masks) for _ in _PATTERNS]
+        iii = idx[:, None, None]
+        jjj = idx[None, :, None]
+        kkk = idx[None, None, :]
+        imp3 = (jjj - iii >= 2) & (kkk - jjj >= 2) & ~((iii == 0) & (kkk == n - 1))
+        imp3 &= acc[0] | acc[1] | acc[2] | acc[3]
+        off = (jj - ii) % n
         b_pids: dict[tuple[int, int, int], int] = {}
-        bmask = t["validb"] & (t["Gb"] >= 1)
-        if bmask.any():
-            for x, y in np.argwhere(bmask).tolist():
-                trip, pid = _b_triple(n, x, y)
-                imp3[trip] = True
-                b_pids[trip] = pid
+        for x, y in np.argwhere(next(masks) & (off >= 3) & (off <= n - 2)).tolist():
+            trip, pid = _b_triple(n, x, y)
+            imp3[trip] = True
+            b_pids[trip] = pid
         if imp3.any():
             flat = int(np.argmax(imp3))
             trip = (flat // (n * n), (flat // n) % n, flat % n)
             if trip in b_pids:
                 key3 = trip + (b_pids[trip],)
             else:
-                i, j, kk = trip
-                pid = next(p for p in range(4) if t["P"][p][i, j, kk] >= 1)
-                key3 = trip + (pid + 1,)
+                key3 = trip + (next(p for p, m in enumerate(acc, 1) if m[trip]),)
             if best is None or key3 < best:
                 best = key3
     return best
-
-
-def _zero_gain_keys(t: dict, k: int) -> list[tuple]:
-    n = t["n"]
-    keys: list[tuple] = [
-        (i, j) for i, j in np.argwhere(t["valid2"] & (t["G2"] == 0)).tolist()
-    ]
-    if k == 3:
-        for pid in range(4):
-            for i, j, kk in np.argwhere(t["valid_a"] & (t["P"][pid] == 0)).tolist():
-                keys.append((i, j, kk, pid + 1))
-        for x, y in np.argwhere(t["validb"] & (t["Gb"] == 0)).tolist():
-            trip, pid = _b_triple(n, x, y)
-            keys.append(trip + (pid,))
-    keys.sort()
-    return keys
 
 
 def _move_from_key(tour: Tour, key: tuple) -> KMove:
@@ -362,19 +419,10 @@ def find_improving(
     """
     validate_tour(instance, tour)
     _require_enumerable(instance.n, k)
-    t = _scan_tables(instance, tour, k)
-    k1 = _least_plain_key(t, k)
-    if plusplus:
-        before = count_zero_paths(instance, tour)
-        for key in _zero_gain_keys(t, k):
-            if k1 is not None and key > k1:
-                break
-            mv = _move_from_key(tour, key)
-            if count_zero_paths(instance, apply_move(tour, mv)) < before:
-                return replace(mv, gain=0)
-    if k1 is None:
+    key = _least_key(instance, tour, k, plusplus)
+    if key is None:
         return None
-    mv = _move_from_key(tour, k1)
+    mv = _move_from_key(tour, key)
     return replace(mv, gain=move_gain(instance, tour, mv))
 
 

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from kopt12 import read_instance, read_tour, tour_cost
+from kopt12 import SweepConfig, read_instance, read_tour, run_sweep, tour_cost
+from kopt12 import cli
 from kopt12.cli import main
 
 HEXA_PAIRS = [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5), (0, 2)]
@@ -269,6 +271,37 @@ class TestSweep:
         assert sum(1 for line in lines if line.startswith("run ")) == 16
         assert all("checks=ok" in line for line in lines if line.startswith("run "))
         assert report.read_text().splitlines() == lines
+
+    def test_workers_clamped_to_cpu_count(self, monkeypatch):
+        pool_sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                pool_sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        config = SweepConfig(n_min=6, n_max=6, per_cell=2, p_values=(0.5,))
+        serial = run_sweep(config)
+        assert pool_sizes == []
+        assert run_sweep(replace(config, workers=10**6)) == serial
+        assert pool_sizes == [2]
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+        assert run_sweep(replace(config, workers=8)) == serial
+        assert pool_sizes == [2]
+
+    def test_workers_below_one_rejected(self, capsys):
+        assert main(["sweep", "--n-min", "6", "--n-max", "6", "--workers", "0"]) == 2
+        assert "at least one worker" in capsys.readouterr().err
 
 
 class TestUsage:

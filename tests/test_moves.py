@@ -30,6 +30,7 @@ from kopt12 import (
     find_improving,
     find_improving_by_enumeration,
     format_kmove,
+    gen_three_opt_pp_lb,
     identity_tour,
     is_improving_pp,
     local_search,
@@ -37,8 +38,10 @@ from kopt12 import (
     neighborhood_size,
     one_path_decomposition,
     parse_kmove,
+    random_instance,
     tour_cost,
 )
+from kopt12.moves import _b_triple, _dz_tables, _move_from_key, _position_costs
 
 from conftest import instance_tour_pairs
 
@@ -176,6 +179,18 @@ class TestApplyMoveErrors:
         with pytest.raises(InvalidMoveError):
             apply_move(tour, move)
 
+    def test_reconnection_splits_tour(self):
+        tour = identity_tour(6)
+        move = KMove(frozenset({(0, 1), (3, 4)}), frozenset({(0, 4), (1, 3)}))
+        with pytest.raises(InvalidMoveError, match="more than one cycle"):
+            apply_move(tour, move)
+
+    def test_reconnection_bad_degree(self):
+        tour = identity_tour(6)
+        move = KMove(frozenset({(0, 1), (3, 4)}), frozenset({(0, 3), (0, 4)}))
+        with pytest.raises(InvalidMoveError, match="bad degree"):
+            apply_move(tour, move)
+
     def test_gain_requires_tour_edges(self, hexa):
         move = KMove(frozenset({(0, 2), (3, 5)}), frozenset({(0, 3), (2, 5)}))
         with pytest.raises(InvalidMoveError):
@@ -191,6 +206,107 @@ def test_scan_matches_enumeration_reference(pair):
             fast = find_improving(instance, tour, k, plusplus)
             slow = find_improving_by_enumeration(instance, tour, k, plusplus)
             assert fast == slow
+
+
+def _assert_scan_matches_along_descent(instance, tour, k):
+    """Compare the ++ scan with the oracle at every step of a descent."""
+    steps = 0
+    while True:
+        fast = find_improving(instance, tour, k, plusplus=True)
+        assert fast == find_improving_by_enumeration(instance, tour, k, plusplus=True)
+        steps += 1
+        if fast is None:
+            return tour, steps
+        tour = apply_move(tour, fast)
+
+
+@pytest.mark.parametrize("p", [0.05, 0.1, 0.3, 0.5, 0.9])
+@pytest.mark.parametrize("k", [2, 3])
+def test_pp_scan_matches_enumeration_along_descents(p, k):
+    for n in range(10, 21, 2):
+        seed = n * 1000 + int(p * 100) * 10 + k
+        instance = random_instance(n, p, seed)
+        order = list(range(n))
+        random.Random(seed).shuffle(order)
+        final, steps = _assert_scan_matches_along_descent(instance, Tour(tuple(order)), k)
+        expected, stats = local_search(instance, k=k, plusplus=True, seed=seed)
+        assert final == expected
+        assert steps == stats.iterations
+
+
+def test_pp_scan_matches_enumeration_on_merging_family():
+    family = gen_three_opt_pp_lb(6)
+    instance, tour = family.instance, family.tour
+    for k in (2, 3):
+        assert find_improving(instance, tour, k, plusplus=True) is None
+        assert find_improving_by_enumeration(instance, tour, k, plusplus=True) is None
+    order = list(tour.order)
+    order[5], order[20] = order[20], order[5]
+    perturbed = Tour(tuple(order))
+    first = find_improving(instance, perturbed, 3, plusplus=True)
+    assert first is not None and first.gain == 0
+    _assert_scan_matches_along_descent(instance, perturbed, 3)
+
+
+def _dz_by_key(instance, tour):
+    """Tabulated zero-path change of every k=3 candidate, by scan key."""
+    n = instance.n
+    pair, *patterns, adjacent = _dz_tables(_position_costs(instance, tour), 3)
+    out = {}
+    for i in range(n):
+        for j in range(i + 2, n):
+            if (i, j) == (0, n - 1):
+                continue
+            out[(i, j)] = int(pair[i, j])
+            for kk in range(j + 2, n):
+                if (i, kk) == (0, n - 1):
+                    continue
+                for pid, table in enumerate(patterns, 1):
+                    out[(i, j, kk, pid)] = int(table[i, j, kk])
+    for x in range(n):
+        for y in range(n):
+            if 3 <= (y - x) % n <= n - 2:
+                trip, pid = _b_triple(n, x, y)
+                out[trip + (pid,)] = int(adjacent[x, y])
+    return out
+
+
+def _isolated(instance, tour):
+    o, n, c = tour.order, instance.n, instance.cost_matrix
+    return {o[i] for i in range(n) if c[o[i - 1], o[i]] == 2 == c[o[i], o[(i + 1) % n]]}
+
+
+def test_dz_tables_match_tour_rebuild():
+    rng = random.Random(2024)
+    # Nonzero cases seen per delicate layout: the middle vertex of an adjacent
+    # pair changing state, the x = n-1 remap (positions 0 and n-1 both removed),
+    # and a triple whose last removed edge wraps to t[0].
+    hits = {"middle vertex": 0, "i=0, k=n-1": 0, "k=n-1, i>0": 0}
+    for _ in range(120):
+        n = rng.randrange(5, 11)
+        instance = random_instance(n, rng.choice([0.1, 0.3, 0.5, 0.7]), rng.randrange(10**6))
+        order = list(range(n))
+        rng.shuffle(order)
+        tour = Tour(tuple(order))
+        before = _isolated(instance, tour)
+        assert len(before) == count_zero_paths(instance, tour)
+        moves = set()
+        for key, value in _dz_by_key(instance, tour).items():
+            mv = _move_from_key(tour, key)
+            moves.add((mv.removed, mv.added))
+            after_tour = apply_move(tour, mv)
+            assert value == count_zero_paths(instance, after_tour) - len(before), key
+            if len(key) == 2 or value == 0:
+                continue
+            i, _, kk, _ = key
+            if kk == n - 1:
+                hits["i=0, k=n-1" if i == 0 else "k=n-1, i>0"] += 1
+            ends = [v for e in mv.removed for v in e]
+            middle = {v for v in ends if ends.count(v) == 2}
+            if middle & (before ^ _isolated(instance, after_tour)):
+                hits["middle vertex"] += 1
+        assert moves == {(m.removed, m.added) for m in enumerate_kmoves(tour, 3)}
+    assert all(hits.values()), hits
 
 
 @given(instance_tour_pairs(min_n=4, max_n=9))
