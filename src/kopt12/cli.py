@@ -443,12 +443,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=3, choices=[2, 3])
     p.add_argument("--plus-plus", action="store_true")
     p.add_argument("--expect", choices=["optimal", "non-optimal"])
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="accepted for interface stability; the scan is single-pass",
-    )
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("exact", help="optimum tour by dynamic programming")

@@ -20,6 +20,9 @@ from .errors import SizeExceededError
 
 HELD_KARP_LIMIT = 16
 BRUTE_FORCE_LIMIT = 10
+# held_karp refuses instances whose tables would take more bytes than this,
+# whatever limit the caller passes (n = 24 needs about 0.9 GB).
+HELD_KARP_MAX_BYTES = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -38,6 +41,12 @@ def _canonical_direction(order: tuple[int, ...]) -> tuple[int, ...]:
     return min(fwd, rev)
 
 
+def _held_karp_bytes(n: int) -> int:
+    """Bytes of the dp table (int32 per subset and last vertex) and masks (int64)."""
+    size = 1 << (n - 1)
+    return size * (n - 1) * 4 + 2 * size * 8
+
+
 def held_karp(instance: Instance, limit: int = HELD_KARP_LIMIT) -> ExactResult:
     """Optimum tour by dynamic programming over vertex subsets."""
     n = instance.n
@@ -45,6 +54,12 @@ def held_karp(instance: Instance, limit: int = HELD_KARP_LIMIT) -> ExactResult:
         raise SizeExceededError(
             f"held_karp limited to {limit} vertices, got {n}; "
             "raise the limit or supply a reference tour"
+        )
+    need = _held_karp_bytes(n)
+    if need > HELD_KARP_MAX_BYTES:
+        raise SizeExceededError(
+            f"held_karp on {n} vertices needs about {need / 2**30:.1f} GiB, "
+            f"over its {HELD_KARP_MAX_BYTES / 2**30:.0f} GiB cap; supply a reference tour"
         )
     c = instance.cost_matrix.astype(np.int32)
     m = n - 1

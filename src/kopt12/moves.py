@@ -19,22 +19,26 @@ adjacent (one segment degenerates to a single vertex); duplicates and
 impure patterns are filtered per removal tuple.
 
 find_improving runs a vectorised scan instead of the generator.  It
-tabulates the gain of every candidate by removed-edge positions.  Under ++
-it also tabulates dz, the change in the number of isolated vertices, which
-depends only on the at most six endpoints of the removed edges.  Each
-table becomes a mask of accepted candidates (gain >= 1, or under ++ also
-gain = 0 and dz < 0), and one argmin over the masks picks the least
-accepted key.  That is the move the generator would accept first.  The
-generator with is_improving_pp is the reference semantics, and the tests
-check the scan against it.
+tabulates a score for every candidate by removed-edge positions: the gain
+under the plain predicate, and under ++ the gain combined with dz, the
+change in the number of isolated vertices, which depends only on the at
+most six endpoints of the removed edges.  A candidate is accepted when its
+score is at least 1 (gain >= 1, or under ++ also gain = 0 and dz < 0), and
+the scan returns the least accepted key: the move the generator would
+accept first.  Keys order by leading position first, so the n^3 triple
+tables are built one block of leading positions at a time, in ascending
+order, and the scan stops at the first block that holds an accepted
+candidate.  A descent step thus usually builds only the first rows, and a
+certificate scan, which visits every block, holds one block at a time.
+The generator with is_improving_pp is the reference semantics, and the
+tests check the scan against it.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass, replace
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -57,6 +61,12 @@ _PATTERNS: tuple[tuple[tuple[int, int], ...], ...] = (
     ((0, 3), (1, 4), (2, 5)),  # inner segments exchanged
     ((0, 4), (1, 3), (2, 5)),  # exchanged, second segment reversed
     ((0, 3), (2, 4), (1, 5)),  # exchanged, first segment reversed
+)
+# Per pattern, the ends (ex, ey) joined by its added edge between removed
+# edges i and j, i and k, and j and k (end 0 of edge x is t[x], end 1 t[x+1]).
+_PATTERN_ENDS = tuple(
+    tuple((x % 2, y % 2) for x, y in sorted(p, key=lambda e: (e[0] // 2, e[1] // 2)))
+    for p in _PATTERNS
 )
 
 
@@ -225,156 +235,213 @@ def is_improving_pp(instance: Instance, tour: Tour, move: KMove) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Vectorised neighborhood scan.
+# Blocked neighborhood scan.
 #
-# Candidates are tabulated by removed-edge positions: a pair table over
-# (i, j), one table per pattern over pairwise non-adjacent triples
-# (i, j, k), and a table over (x, y) for the single pure reconnection of the
-# triple made of the adjacent pair (x, x+1) plus the edge y.  Two
-# quantities are tabulated, each a sum of per-position and per-added-edge
-# terms:
+# Candidates are keyed by removed-edge positions: (i, j) for a pair and
+# (i, j, k, pattern id) for a triple, compared as tuples.  The least
+# accepted key is the first accepted move in enumeration order.
 #
-#   gain  removed tour edge costs minus added edge costs;
-#   dz    change in the number of isolated vertices (length-0 1-paths).
-#         Only endpoints of removed edges change their tour edges.  Each
-#         keeps one tour edge and gains one added edge, except the middle
-#         vertex of an adjacent pair, which gains two.  A vertex is isolated
-#         when both its tour edges cost 2.
+# Each candidate has a score, a sum of per-position and per-added-edge
+# terms.  Under the plain predicate the score is the gain: removed tour
+# edge costs minus added edge costs.  Under ++ it is 8 * gain - dz, where dz
+# is the change in the number of isolated vertices (length-0 1-paths).  Only
+# endpoints of removed edges change their tour edges.  Each keeps one tour
+# edge and gains one added edge, except the middle vertex of an adjacent
+# pair, which gains two; a vertex is isolated when both its tour edges cost
+# 2.  There are at most six such endpoints, so |dz| <= 6, and score >= 1
+# holds exactly when gain >= 1, or gain = 0 and dz < 0.  Position pairs
+# that no candidate removes together get a large negative term, so no
+# separate validity mask is needed.
 #
-# Each table becomes a mask of accepted candidates: gain >= 1, or with ++
-# also gain = 0 and dz < 0.  Adjacent-pair entries map back to their sorted
-# position triples so all candidates share one key order: (i, j) for pairs,
-# (i, j, k, pattern_id) for triples, compared as tuples.  The least accepted
-# key is the first accepted move in enumeration order.
+# The n^2 tables are built once per call: the pair table over (i, j), and
+# for k = 3 the table over (x, y) for the single pure reconnection of the
+# adjacent pair (x, x+1) plus the edge y.  Each yields its least accepted
+# key.  The four pattern tables over the pairwise non-adjacent triples
+# (i, j, k) hold n^3 entries.  They are built one block of leading rows i
+# at a time, in ascending i.  Keys compare by i first, so the scan stops at
+# the first block that holds an accepted triple, or once its rows pass the
+# leading index of the least pair or adjacent-pair key.  A block starts at
+# _FIRST_BLOCK entries and doubles up to _MAX_BLOCK, so a scan with
+# n^3 <= _FIRST_BLOCK is one block, a descent step usually builds one small
+# block, and a certificate scan, which visits every block, holds
+# O(_MAX_BLOCK) table entries at a time on top of the n^2 tables.
 # ---------------------------------------------------------------------------
+
+# Entries (rows times n^2) of the first and of the largest triple block.
+_FIRST_BLOCK = 1 << 16
+_MAX_BLOCK = 1 << 21
+# Score term of a position pair that no candidate removes together.
+_REJECT = -1000
+
+
+class _Terms(NamedTuple):
+    """A tabulated quantity of a move as a sum of per-position terms.
+
+    The quantity of a pair or non-adjacent triple is base[x] summed over its
+    removed positions x, plus term[ex, ey][x, y] summed over its added edges,
+    where an added edge joins end ex of removed edge x to end ey of removed
+    edge y > x (end 0 is t[x], end 1 is t[x+1]).  For k = 3, adjacent[x, y]
+    is the quantity of the adjacent pair (x, x+1) plus the edge y.
+    """
+
+    base: np.ndarray
+    term: dict[tuple[int, int], np.ndarray]
+    adjacent: np.ndarray | None
 
 
 def _position_costs(instance: Instance, tour: Tour) -> np.ndarray:
-    """Cost matrix indexed by tour position."""
-    o = np.fromiter(tour.order, dtype=np.intp, count=instance.n)
-    return instance.cost_matrix[np.ix_(o, o)].astype(np.int16)
+    """Cost matrix indexed by tour position; position n is position 0 again.
 
-
-def _triple_sum(ij: np.ndarray, ik: np.ndarray, jk: np.ndarray) -> np.ndarray:
-    s = ij[:, :, None] + ik[:, None, :]
-    s += jk[None, :, :]
-    return s
-
-
-def _position_tables(base: np.ndarray, term: list, k: int) -> Iterator[np.ndarray]:
-    """Pair table, then for k = 3 one triple table per pattern.
-
-    The tabulated quantity of a move is base[x] summed over its removed
-    positions x, plus term[ex][ey][x, y] summed over its added edges, where
-    an added edge joins end ex of removed edge x to end ey of removed edge
-    y > x (end 0 is t[x], end 1 is t[x+1]).
+    So A[x + a, y + b] for all positions x, y is the slice A[a:a+n, b:b+n].
     """
-    bb = base[:, None] + base[None, :]
-    yield bb + term[0][0] + term[1][1]
-    if k == 3:
-        for pattern in _PATTERNS:
-            ij, ik, jk = (
-                term[x % 2][y % 2]
-                for x, y in sorted(pattern, key=lambda e: (e[0] // 2, e[1] // 2))
-            )
-            yield _triple_sum(bb + ij, ik, jk + base)
+    n = instance.n
+    o = np.empty(n + 1, dtype=np.intp)
+    o[:n] = tour.order
+    o[n] = o[0]
+    return instance.cost_matrix.take(o, axis=0).take(o, axis=1).astype(np.int16)
 
 
-def _gain_tables(A: np.ndarray, k: int) -> Iterator[np.ndarray]:
-    """Gain tables in scan order: pair, then for k = 3 patterns and adjacent pair."""
-    n = len(A)
+def _end_pairs(k: int) -> tuple[tuple[int, int], ...]:
+    """The (ex, ey) terms that k-moves use: a 2-move joins like ends."""
+    return ((0, 0), (1, 1)) if k == 2 else ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
+def _gain_terms(A: np.ndarray, k: int) -> _Terms:
+    n = len(A) - 1
     idx = np.arange(n)
-    end = (idx, (idx + 1) % n)
-    E = A[idx, end[1]]
-    neg = [[-A[np.ix_(a, b)] for b in end] for a in end]
-    yield from _position_tables(E, neg, k)
+    E = np.diagonal(A, 1)
+    neg = {(a, b): -A[a : a + n, b : b + n] for a, b in _end_pairs(k)}
+    adjacent = None
     if k == 3:
-        # Adjacent pair: t[x] joins t[x+2]; t[x+1] joins t[y] and t[y+1].
-        pair = E + E[end[1]] - A[idx, (idx + 2) % n]
-        yield pair[:, None] + E + neg[1][0] + neg[1][1]
+        # t[x] joins t[x+2]; t[x+1] joins t[y] and t[y+1].
+        pair = E + E[(idx + 1) % n] - A[idx, (idx + 2) % n]
+        adjacent = pair[:, None] + E + neg[1, 0] + neg[1, 1]
+    return _Terms(E, neg, adjacent)
 
 
-def _dz_tables(A: np.ndarray, k: int) -> Iterator[np.ndarray]:
-    """Isolated-vertex change tables, in the order of _gain_tables."""
-    n = len(A)
+def _dz_terms(A: np.ndarray, k: int) -> _Terms:
+    n = len(A) - 1
     idx = np.arange(n)
-    end = (idx, (idx + 1) % n)
+    nxt = (idx + 1) % n
     i2 = (idx + 2) % n
-    heavy_edge = A[idx, end[1]] == 2
+    heavy_edge = np.diagonal(A, 1) == 2
     iso = (heavy_edge[idx - 1] & heavy_edge).astype(np.int8)
-    lost = iso + iso[end[1]]
+    lost = iso + iso[nxt]
     # keep[e][x]: the tour edge that end e of removed edge x keeps costs 2.
-    keep = (heavy_edge[idx - 1].astype(np.int8), heavy_edge[end[1]].astype(np.int8))
-    heavy = [[A[np.ix_(a, b)] == 2 for b in end] for a in end]
-    term = [
-        [heavy[ex][ey] * (keep[ex][:, None] + keep[ey][None, :]) for ey in (0, 1)]
-        for ex in (0, 1)
-    ]
-    yield from _position_tables(-lost, term, k)
+    keep = (heavy_edge[idx - 1].astype(np.int8), heavy_edge[nxt].astype(np.int8))
+    heavy = {(a, b): A[a : a + n, b : b + n] == 2 for a, b in _end_pairs(k)}
+    term = {(a, b): h * (keep[a][:, None] + keep[b][None, :]) for (a, b), h in heavy.items()}
+    adjacent = None
     if k == 3:
         # t[x+1] keeps no tour edge: it ends isolated when both edges it
         # gains, to t[y] and t[y+1], cost 2.
-        hy, hy1 = heavy[1]
-        pair = (A[idx, i2] == 2) * (keep[0] + keep[1][end[1]]) - lost - iso[i2]
-        yield pair[:, None] - lost + hy * keep[0] + hy1 * keep[1] + (hy & hy1)
+        hy, hy1 = heavy[1, 0], heavy[1, 1]
+        pair = (A[idx, i2] == 2) * (keep[0] + keep[1][nxt]) - lost - iso[i2]
+        adjacent = pair[:, None] - lost + hy * keep[0] + hy1 * keep[1] + (hy & hy1)
+    return _Terms(-lost, term, adjacent)
 
 
-def _accept(gain: np.ndarray, dz: np.ndarray | None) -> np.ndarray:
-    ok = gain >= 1
-    if dz is not None:
-        ok |= (gain == 0) & (dz < 0)
-    return ok
+def _score_terms(A: np.ndarray, k: int, plusplus: bool) -> _Terms:
+    gain = _gain_terms(A, k)
+    if not plusplus:
+        return gain
+    dz = _dz_terms(A, k)
+    return _Terms(
+        8 * gain.base - dz.base,
+        {e: 8 * t - dz.term[e] for e, t in gain.term.items()},
+        None if gain.adjacent is None else 8 * gain.adjacent - dz.adjacent,
+    )
 
 
-def _b_triple(n: int, x: int, y: int) -> tuple[tuple[int, int, int], int]:
-    """Sorted position triple and pattern id for adjacent pair (x, x+1) plus edge y."""
-    if x == n - 1:
-        return (0, y, n - 1), 1
-    if y > x + 1:
-        return (x, x + 1, y), 2
-    return (y, x, x + 1), 2
+def _pair_table(t: _Terms) -> np.ndarray:
+    return t.base[:, None] + t.base[None, :] + t.term[0, 0] + t.term[1, 1]
+
+
+def _triple_terms(t: _Terms) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Per pattern, the terms over (i, j), (i, k) and (j, k) of its triple table."""
+    bb = t.base[:, None] + t.base[None, :]
+    out = []
+    for ends in _PATTERN_ENDS:
+        ij, ik, jk = (t.term[e] for e in ends)
+        out.append((bb + ij, ik, jk + t.base))
+    return out
+
+
+def _triple_block(terms: tuple[np.ndarray, ...], lo: int, hi: int) -> np.ndarray:
+    """Rows lo <= i < hi of one pattern's triple table."""
+    ij, ik, jk = terms
+    out = ij[lo:hi, :, None] + ik[lo:hi, None, :]
+    out += jk
+    return out
+
+
+def _adjacent_keys(n: int, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Scan keys (i, j, k, pattern id) of adjacent pair (x, x+1) plus edge y."""
+    wrap = x == n - 1
+    after = y > x
+    return (
+        np.where(wrap, 0, np.where(after, x, y)),
+        np.where(wrap, y, np.where(after, x + 1, x)),
+        np.where(wrap, n - 1, np.where(after, y, x + 1)),
+        np.where(wrap, 1, 2),
+    )
+
+
+def _row_blocks(n: int) -> Iterator[tuple[int, int]]:
+    """Leading-row ranges of the triple blocks, in ascending order."""
+    area = n * n
+    rows = -(-_FIRST_BLOCK // area)
+    cap = -(-_MAX_BLOCK // area)
+    lo = 0
+    while lo < n:
+        hi = min(n, lo + rows)
+        yield lo, hi
+        lo, rows = hi, min(2 * rows, cap)
+
+
+def _first_accepted(score: np.ndarray) -> int | None:
+    """Flat index of the first entry with score >= 1, or None."""
+    ok = score >= 1
+    flat = int(ok.argmax())
+    return flat if ok.flat[flat] else None
 
 
 def _least_key(instance: Instance, tour: Tour, k: int, plusplus: bool) -> tuple | None:
+    """Least accepted scan key, or None when no move is accepted."""
     n = instance.n
-    A = _position_costs(instance, tour)
-    # map drops each table as soon as its mask is built, so at most one
-    # n^3 gain table (and dz table) is alive at a time.
-    masks = map(
-        _accept,
-        _gain_tables(A, k),
-        _dz_tables(A, k) if plusplus else itertools.repeat(None),
-    )
+    t = _score_terms(_position_costs(instance, tour), k, plusplus)
+    # Removed positions x < y must be at least two apart on the cycle;
+    # entries with x >= y name no candidate.
     idx = np.arange(n)
-    ii = idx[:, None]
-    jj = idx[None, :]
-    best: tuple | None = None
-    m2 = next(masks) & (jj - ii >= 2) & ~((ii == 0) & (jj == n - 1))
-    if m2.any():
-        flat = int(np.argmax(m2))
-        best = (flat // n, flat % n)
-    if k == 3:
-        acc = [next(masks) for _ in _PATTERNS]
-        iii = idx[:, None, None]
-        jjj = idx[None, :, None]
-        kkk = idx[None, None, :]
-        imp3 = (jjj - iii >= 2) & (kkk - jjj >= 2) & ~((iii == 0) & (kkk == n - 1))
-        imp3 &= acc[0] | acc[1] | acc[2] | acc[3]
-        off = (jj - ii) % n
-        b_pids: dict[tuple[int, int, int], int] = {}
-        for x, y in np.argwhere(next(masks) & (off >= 3) & (off <= n - 2)).tolist():
-            trip, pid = _b_triple(n, x, y)
-            imp3[trip] = True
-            b_pids[trip] = pid
-        if imp3.any():
-            flat = int(np.argmax(imp3))
-            trip = (flat // (n * n), (flat // n) % n, flat % n)
-            if trip in b_pids:
-                key3 = trip + (b_pids[trip],)
-            else:
-                key3 = trip + (next(p for p, m in enumerate(acc, 1) if m[trip]),)
-            if best is None or key3 < best:
-                best = key3
+    reject = np.where(np.less_equal.outer(idx, idx - 2), np.int16(0), np.int16(_REJECT))
+    reject[0, n - 1] = _REJECT
+    t = t._replace(term={e: m + reject for e, m in t.term.items()})
+    del reject
+    flat = _first_accepted(_pair_table(t))
+    best = None if flat is None else (flat // n, flat % n)
+    if k == 2:
+        return best
+    # The adjacent pair (x, x+1) needs y + 1 <= x - 1 or y >= x + 3 (cyclically).
+    t.adjacent[idx[:, None], (idx[:, None] + (-1, 0, 1, 2)) % n] = _REJECT
+    x, y = np.nonzero(t.adjacent >= 1)
+    if x.size:
+        i, j, kk, pid = _adjacent_keys(n, x, y)
+        e = int(np.argmin((i * n + j) * n + kk))
+        key = (int(i[e]), int(j[e]), int(kk[e]), int(pid[e]))
+        best = key if best is None or key < best else best
+    triple_terms = _triple_terms(t)
+    for lo, hi in _row_blocks(n):
+        if best is not None and lo > best[0]:
+            break
+        found = None
+        for pid, terms in enumerate(triple_terms, 1):
+            flat = _first_accepted(_triple_block(terms, lo, hi))
+            if flat is not None and (found is None or flat < found[0]):
+                found = (flat, pid)
+        if found is not None:
+            flat, pid = found
+            key = (lo + flat // (n * n), flat // n % n, flat % n, pid)
+            return key if best is None or key < best else best
     return best
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -196,6 +197,19 @@ class TestExact:
         rc, _ = run(capsys, ["exact", "--instance", inst, "--limit", "4"])
         assert rc == 2
 
+    def test_memory_cap_refuses_before_allocating(self, capsys, tmp_path):
+        inst = tmp_path / "n30.txt"
+        inst.write_text("p12tsp 30\ne 0 1\n", encoding="utf-8")
+        tracemalloc.start()
+        try:
+            rc = main(["exact", "--instance", str(inst), "--limit", "40"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 2
+        assert "error: held_karp on 30 vertices needs about 66.0 GiB" in capsys.readouterr().err
+        assert peak < 1 << 20
+
 
 class TestAnalyze:
     def test_hexa_report(self, capsys, tmp_path):
@@ -298,6 +312,17 @@ class TestSweep:
         monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
         assert run_sweep(replace(config, workers=8)) == serial
         assert pool_sizes == [2]
+
+    def test_report_independent_of_worker_count(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        grid = ["sweep", "--n-min", "6", "--n-max", "8", "--per-cell", "3", "--p", "0.3", "0.5"]
+        reports = []
+        for workers in ("1", "2"):
+            report = tmp_path / f"sweep-{workers}.txt"
+            rc, lines = run(capsys, grid + ["--workers", workers, "--report", str(report)])
+            assert rc == 0 and "runs=72" in lines
+            reports.append(report.read_text())
+        assert reports[0] == reports[1]
 
     def test_workers_below_one_rejected(self, capsys):
         assert main(["sweep", "--n-min", "6", "--n-max", "6", "--workers", "0"]) == 2

@@ -44,6 +44,8 @@ def test_size_limits():
         held_karp(big)
     with pytest.raises(SizeExceededError):
         held_karp(Instance(12, frozenset()), limit=10)
+    with pytest.raises(SizeExceededError, match="GiB"):
+        held_karp(Instance(25, frozenset()), limit=25)
     with pytest.raises(SizeExceededError):
         brute_force(Instance(11, frozenset()))
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -41,7 +42,16 @@ from kopt12 import (
     random_instance,
     tour_cost,
 )
-from kopt12.moves import _b_triple, _dz_tables, _move_from_key, _position_costs
+from kopt12 import moves
+from kopt12.moves import (
+    _adjacent_keys,
+    _dz_terms,
+    _move_from_key,
+    _pair_table,
+    _position_costs,
+    _triple_block,
+    _triple_terms,
+)
 
 from conftest import instance_tour_pairs
 
@@ -208,12 +218,12 @@ def test_scan_matches_enumeration_reference(pair):
             assert fast == slow
 
 
-def _assert_scan_matches_along_descent(instance, tour, k):
-    """Compare the ++ scan with the oracle at every step of a descent."""
+def _assert_scan_matches_along_descent(instance, tour, k, plusplus=True):
+    """Compare the scan with the oracle at every step of a descent."""
     steps = 0
     while True:
-        fast = find_improving(instance, tour, k, plusplus=True)
-        assert fast == find_improving_by_enumeration(instance, tour, k, plusplus=True)
+        fast = find_improving(instance, tour, k, plusplus)
+        assert fast == find_improving_by_enumeration(instance, tour, k, plusplus)
         steps += 1
         if fast is None:
             return tour, steps
@@ -234,6 +244,100 @@ def test_pp_scan_matches_enumeration_along_descents(p, k):
         assert steps == stats.iterations
 
 
+@pytest.fixture
+def one_row_blocks(monkeypatch):
+    """Make every triple block a single leading row."""
+    monkeypatch.setattr(moves, "_FIRST_BLOCK", 1)
+    monkeypatch.setattr(moves, "_MAX_BLOCK", 1)
+
+
+@pytest.mark.parametrize("plusplus", [False, True])
+@pytest.mark.parametrize("k", [2, 3])
+def test_one_row_blocks_match_enumeration_along_descents(one_row_blocks, k, plusplus):
+    assert list(moves._row_blocks(7)) == [(i, i + 1) for i in range(7)]
+    for n in range(5, 21):
+        seed = n * 100 + k * 10 + plusplus
+        instance = random_instance(n, (0.1, 0.3, 0.5, 0.7)[n % 4], seed)
+        order = list(range(n))
+        random.Random(seed).shuffle(order)
+        _assert_scan_matches_along_descent(instance, Tour(tuple(order)), k, plusplus)
+
+
+def _only_moves(n, keys):
+    """Identity tour on n vertices whose only improving moves have the given scan keys.
+
+    For each key the removed tour edge at position key[1] costs 2; every
+    other tour edge and the moves' added edges cost 1, and no other edge
+    does.  Returns the instance, the tour, and the move of the least key.
+    """
+    tour = identity_tour(n)
+    only = [_move_from_key(tour, key) for key in keys]
+    heavy = {canonical_edge(key[1], key[1] + 1) for key in keys}
+    added = frozenset().union(*(m.added for m in only))
+    instance = Instance.from_pairs(n, sorted((tour.edge_set - heavy) | added))
+    accepted = [m for m in enumerate_kmoves(tour, 3) if move_gain(instance, tour, m) >= 1]
+    assert sorted((m.removed, m.added) for m in accepted) == sorted(
+        (m.removed, m.added) for m in only
+    )
+    # Cost-2 tour edges that share no vertex leave no isolated vertex, so ++
+    # accepts the same moves.
+    assert count_zero_paths(instance, tour) == 0
+    first = only[keys.index(min(keys))]
+    return instance, tour, replace(first, gain=move_gain(instance, tour, first))
+
+
+def _assert_first_found(n, *keys):
+    instance, tour, move = _only_moves(n, list(keys))
+    for plusplus in (False, True):
+        assert find_improving(instance, tour, 3, plusplus) == move
+        assert find_improving_by_enumeration(instance, tour, 3, plusplus) == move
+
+
+@pytest.mark.parametrize("pid", [1, 2, 3, 4])
+def test_only_move_in_last_block_one_row(one_row_blocks, pid):
+    n = 20
+    # The last leading row that holds a non-adjacent triple.
+    _assert_first_found(n, (n - 5, n - 3, n - 1, pid))
+
+
+def test_only_move_in_last_block():
+    n = 48
+    blocks = list(moves._row_blocks(n))
+    assert len(blocks) > 1 and blocks[-1][0] <= n - 5
+    _assert_first_found(n, (n - 5, n - 3, n - 1, 2))
+
+
+@pytest.mark.parametrize("y", [2, 9, 17])
+def test_only_move_is_adjacent_pair_wrap(y):
+    n = 20
+    # Adjacent pair (x, x+1) with x = n-1 removes positions n-1 and 0.
+    key = tuple(int(v) for v in _adjacent_keys(n, n - 1, y))
+    assert key == (0, y, n - 1, 1)
+    _assert_first_found(n, key)
+
+
+def test_least_of_two_adjacent_pair_moves():
+    # The wrap key leads with position 0 although its middle position is larger.
+    _assert_first_found(20, (0, 12, 19, 1), (2, 3, 8, 2))
+
+
+@pytest.mark.parametrize("plusplus", [False, True])
+@pytest.mark.parametrize("n", [48, 64])
+def test_multi_block_scan_matches_enumeration(n, plusplus):
+    assert len(list(moves._row_blocks(n))) > 1
+    seed = n + plusplus
+    instance = random_instance(n, 6 / n, seed)
+    tour, _ = local_search(instance, k=3, plusplus=plusplus, seed=seed)
+    # A locally optimal tour: every block is scanned and none accepts.
+    assert find_improving(instance, tour, 3, plusplus) is None
+    assert find_improving_by_enumeration(instance, tour, 3, plusplus) is None
+    # One worsening 2-move away from it, the scan stops at an early block.
+    worse = apply_move(tour, _move_from_key(tour, (n - 9, n - 3)))
+    assert find_improving(instance, worse, 3, plusplus) == find_improving_by_enumeration(
+        instance, worse, 3, plusplus
+    )
+
+
 def test_pp_scan_matches_enumeration_on_merging_family():
     family = gen_three_opt_pp_lb(6)
     instance, tour = family.instance, family.tour
@@ -251,7 +355,9 @@ def test_pp_scan_matches_enumeration_on_merging_family():
 def _dz_by_key(instance, tour):
     """Tabulated zero-path change of every k=3 candidate, by scan key."""
     n = instance.n
-    pair, *patterns, adjacent = _dz_tables(_position_costs(instance, tour), 3)
+    dz = _dz_terms(_position_costs(instance, tour), 3)
+    pair = _pair_table(dz)
+    patterns = [_triple_block(terms, 0, n) for terms in _triple_terms(dz)]
     out = {}
     for i in range(n):
         for j in range(i + 2, n):
@@ -266,8 +372,8 @@ def _dz_by_key(instance, tour):
     for x in range(n):
         for y in range(n):
             if 3 <= (y - x) % n <= n - 2:
-                trip, pid = _b_triple(n, x, y)
-                out[trip + (pid,)] = int(adjacent[x, y])
+                key = tuple(int(v) for v in _adjacent_keys(n, x, y))
+                out[key] = int(dz.adjacent[x, y])
     return out
 
 
