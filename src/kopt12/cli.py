@@ -38,12 +38,7 @@ from .certify import (
     endpoint_pair_violations,
     find_forbidden_constellation,
 )
-from .constructions import (
-    gen_three_opt_lb,
-    gen_three_opt_pp_lb,
-    gen_two_opt_lb,
-    random_instance,
-)
+from .constructions import FAMILIES, FamilyOutput, random_instance
 from .core import Instance, Tour, tour_cost
 from .errors import (
     ConstructionError,
@@ -208,10 +203,24 @@ def _bool(value: bool) -> str:
     return "true" if value else "false"
 
 
+def _family_member(args: argparse.Namespace) -> FamilyOutput:
+    """Build the --family member from its one size option, --n or --s."""
+    family = FAMILIES[args.family]
+    for opt in ("n", "s", "p", "seed"):
+        if opt != family.size and getattr(args, opt, None) is not None:
+            raise InvalidArgumentError(f"{args.family} does not take --{opt}")
+    size = getattr(args, family.size)
+    if size is None:
+        raise InvalidArgumentError(f"{args.family} needs --{family.size}")
+    return family.generate(size)
+
+
 def _cmd_gen(args: argparse.Namespace) -> int:
     if args.family == "random":
         if args.n is None or args.p is None or args.seed is None:
             raise InvalidArgumentError("random family needs --n, --p and --seed")
+        if args.s is not None:
+            raise InvalidArgumentError("random family does not take --s")
         if args.out_tour or args.out_reference:
             raise InvalidArgumentError("random family has no designated tour")
         instance = random_instance(args.n, args.p, args.seed)
@@ -228,15 +237,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
             None,
         )
         return 0
-    if args.family == "two-opt-lb":
-        if args.n is None:
-            raise InvalidArgumentError("two-opt-lb needs --n")
-        out = gen_two_opt_lb(args.n)
-    else:
-        if args.s is None:
-            raise InvalidArgumentError(f"{args.family} needs --s")
-        gen = gen_three_opt_lb if args.family == "three-opt-lb" else gen_three_opt_pp_lb
-        out = gen(args.s)
+    out = _family_member(args)
     if args.out_instance:
         write_instance(out.instance, Path(args.out_instance))
     if args.out_tour:
@@ -256,6 +257,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
+    if args.tour and args.seed is not None:
+        raise InvalidArgumentError("--seed shuffles the start, so it cannot go with --tour")
     instance = read_instance(Path(args.instance))
     start = read_tour(Path(args.tour)) if args.tour else None
     tour, stats = local_search(
@@ -275,27 +278,17 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _family_pair(args: argparse.Namespace):
-    if args.family == "two-opt-lb":
-        if args.n is None:
-            raise InvalidArgumentError("two-opt-lb needs --n")
-        out = gen_two_opt_lb(args.n)
-    elif args.family in ("three-opt-lb", "three-opt-pp-lb"):
-        if args.s is None:
-            raise InvalidArgumentError(f"{args.family} needs --s")
-        gen = gen_three_opt_lb if args.family == "three-opt-lb" else gen_three_opt_pp_lb
-        out = gen(args.s)
-    else:
-        raise InvalidArgumentError(f"cannot certify family {args.family!r}")
-    return out.instance, out.tour
-
-
 def _cmd_certify(args: argparse.Namespace) -> int:
     if args.family:
-        instance, tour = _family_pair(args)
+        if args.instance or args.tour:
+            raise InvalidArgumentError("give --family or --instance and --tour, not both")
+        out = _family_member(args)
+        instance, tour = out.instance, out.tour
     else:
         if not args.instance or not args.tour:
             raise InvalidArgumentError("need --instance and --tour, or --family")
+        if args.n is not None or args.s is not None:
+            raise InvalidArgumentError("--n and --s need --family")
         instance = read_instance(Path(args.instance))
         tour = read_tour(Path(args.tour))
     certifier = certify_kpp_optimal if args.plus_plus else certify_k_optimal
@@ -412,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--family",
         required=True,
-        choices=["two-opt-lb", "three-opt-lb", "three-opt-pp-lb", "random"],
+        choices=[*FAMILIES, "random"],
     )
     p.add_argument("--n", type=int)
     p.add_argument("--s", type=int)
@@ -435,9 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="exhaustively certify local optimality")
     p.add_argument("--instance")
     p.add_argument("--tour")
-    p.add_argument(
-        "--family", choices=["two-opt-lb", "three-opt-lb", "three-opt-pp-lb"]
-    )
+    p.add_argument("--family", choices=list(FAMILIES))
     p.add_argument("--n", type=int)
     p.add_argument("--s", type=int)
     p.add_argument("--k", type=int, default=3, choices=[2, 3])
@@ -492,7 +483,7 @@ def main(argv: list[str] | None = None) -> int:
         TourValidationError,
         SizeExceededError,
         ConstructionError,
-        FileNotFoundError,
+        OSError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -5,19 +5,28 @@ the family is built around, a good reference tour, and the claimed costs of
 both.  The claims are re-verified at construction time so a generator can
 never silently hand out a miscosted family.
 
-All families are periodic: vertex labels live on a cycle and the cost-1
-edge set is a union of shifted copies of a fixed template block.  The
-two-opt family has period 1 (plus chords of period 2), the three-opt family
-period 8, and the merging family period 6.
+Vertex labels live on a cycle.  The two-opt family is a ring plus chords;
+the three-opt and merging families are unions of shifted copies of a fixed
+template block of 8 and 6 vertices.  FAMILIES names the three families and
+records, for each, its size parameter, generator and block period.
 """
 
 from __future__ import annotations
 
 import random
-from collections import defaultdict
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
-from .core import MIN_N, Edge, Instance, Tour, canonical_edge, identity_tour, tour_cost
+from .core import (
+    MIN_N,
+    Edge,
+    Instance,
+    Tour,
+    canonical_edge,
+    cycle_from_edges,
+    identity_tour,
+    tour_cost,
+)
 from .errors import ConstructionError, InvalidArgumentError
 
 # Template of cost-1 edges per period-8 block (offsets from the block base),
@@ -95,6 +104,13 @@ def _template_edges(n: int, blocks: int, period: int, template) -> frozenset[Edg
     return frozenset(edges)
 
 
+def _cycle(edges: frozenset[Edge]) -> tuple[int, ...]:
+    try:
+        return cycle_from_edges(edges)
+    except InvalidArgumentError as exc:
+        raise ConstructionError(f"reference {exc}") from None
+
+
 def gen_two_opt_lb(n: int) -> FamilyOutput:
     """Ring plus even chords; a 2-optimal tour of cost n + floor((n-2)/2).
 
@@ -119,28 +135,6 @@ def gen_two_opt_lb(n: int) -> FamilyOutput:
     )
 
 
-def _path_after_removing_least_edge(edges: set[Edge]) -> list[int]:
-    """Open the cycle formed by edges at its smallest edge, return the path."""
-    adj: dict[int, list[int]] = defaultdict(list)
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    if any(len(nbrs) != 2 for nbrs in adj.values()):
-        raise ConstructionError("reference cycle has a vertex of degree != 2")
-    start, end = min(edges)
-    seq = [start]
-    prev, cur = end, start
-    while cur != end:
-        x, y = adj[cur]
-        prev, cur = cur, (y if x == prev else x)
-        if cur == start:
-            raise ConstructionError("reference cycle closed early")
-        seq.append(cur)
-    if len(seq) != len(adj):
-        raise ConstructionError("reference cycle does not span its vertex set")
-    return seq
-
-
 def build_three_opt_reference(s: int) -> Tour:
     """Concatenate four disjoint vertex cycles of the period-8 family.
 
@@ -158,11 +152,10 @@ def build_three_opt_reference(s: int) -> Tour:
     )
     order: list[int] = []
     for template in cycles:
-        edges = set()
-        for h in range(s):
-            for du, dv in template:
-                edges.add(canonical_edge((8 * h + du) % n, (8 * h + dv) % n))
-        order.extend(_path_after_removing_least_edge(edges))
+        cycle = _cycle(_template_edges(n, s, 8, template))
+        # Open the cycle at its least edge {m, smaller neighbour of m}: the
+        # path runs from m the other way round, ending at that neighbour.
+        order += (cycle[0],) + cycle[:0:-1]
     return Tour(tuple(order))
 
 
@@ -198,36 +191,30 @@ def gen_three_opt_pp_lb(s: int) -> FamilyOutput:
         raise InvalidArgumentError(f"merging family needs s >= 2, got {s}")
     n = 6 * s
     inst = Instance(n, _template_edges(n, s, 6, _PP_TEMPLATE))
-    ref_edges = set()
-    for h in range(3 * s):
-        ref_edges.add(canonical_edge(2 * h, (2 * h + 1) % n))
-        ref_edges.add(canonical_edge(2 * h, (2 * h + 3) % n))
-    adj: dict[int, list[int]] = defaultdict(list)
-    for u, v in ref_edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    seq = [0]
-    prev, cur = 0, min(adj[0])
-    while cur != 0:
-        seq.append(cur)
-        x, y = adj[cur]
-        prev, cur = cur, (y if x == prev else x)
-    if len(seq) != n:
-        raise ConstructionError("reference edge set is not a single cycle")
+    reference = _cycle(_template_edges(n, 3 * s, 2, ((0, 1), (0, 3))))
     return _checked(
         FamilyOutput(
             instance=inst,
             tour=identity_tour(n),
-            reference_tour=Tour(tuple(seq)),
+            reference_tour=Tour(reference),
             claimed_tour_cost=8 * s,
             claimed_reference_bound=6 * s,
         )
     )
 
 
-_FAMILY_PERIODS = {
-    "three-opt-lb": (8, 3, gen_three_opt_lb),
-    "three-opt-pp-lb": (6, 2, gen_three_opt_pp_lb),
+class Family(NamedTuple):
+    """How to build one member of a constructed family."""
+
+    size: str  # the one size option the generator takes: "n" or "s"
+    generate: Callable[[int], FamilyOutput]
+    period: int | None  # vertices per template block; None if not block-built
+
+
+FAMILIES: dict[str, Family] = {
+    "two-opt-lb": Family("n", gen_two_opt_lb, None),
+    "three-opt-lb": Family("s", gen_three_opt_lb, 8),
+    "three-opt-pp-lb": Family("s", gen_three_opt_pp_lb, 6),
 }
 
 
@@ -239,25 +226,21 @@ def is_regular(family: str, s_check: int, l: int) -> RegularityResult:
     edges only join a segment to itself or a cyclically adjacent segment.
     The returned violation is the smallest offending vertex pair.
     """
-    if family not in _FAMILY_PERIODS:
-        known = ", ".join(sorted(_FAMILY_PERIODS))
-        raise InvalidArgumentError(f"unknown family {family!r}, expected one of {known}")
+    spec = FAMILIES.get(family)
+    if spec is None or spec.period is None:
+        known = ", ".join(name for name, f in FAMILIES.items() if f.period)
+        raise InvalidArgumentError(f"{family!r} has no block period; use one of {known}")
     if s_check < 3:
         raise InvalidArgumentError(f"need at least 3 segments, got {s_check}")
     if l < 1:
         raise InvalidArgumentError(f"segment length must be positive, got {l}")
-    period, s_min, gen = _FAMILY_PERIODS[family]
+    period = spec.period
     n = s_check * l
     if n % period:
         raise InvalidArgumentError(
             f"{family} exists only on multiples of {period} vertices, got {n}"
         )
-    s_inst = n // period
-    if s_inst < s_min:
-        raise InvalidArgumentError(
-            f"{family} needs at least {s_min * period} vertices, got {n}"
-        )
-    cost1 = gen(s_inst).instance.cost1
+    cost1 = spec.generate(n // period).instance.cost1
     shifted = frozenset(canonical_edge((u + l) % n, (v + l) % n) for u, v in cost1)
     if shifted != cost1:
         first = min((cost1 - shifted) | (shifted - cost1))

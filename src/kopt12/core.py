@@ -9,7 +9,8 @@ edges (an isolated vertex is a 1-path of length 0).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import defaultdict
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
 
@@ -123,6 +124,32 @@ class Tour:
 
 def identity_tour(n: int) -> Tour:
     return Tour(tuple(range(n)))
+
+
+def cycle_from_edges(edges: Iterable[Edge]) -> tuple[int, ...]:
+    """Vertex order of the single cycle the edges form.
+
+    The order starts at the least vertex and heads toward its smaller
+    neighbour, so equal edge sets always give identical orders.  Raises
+    InvalidArgumentError when a vertex does not have exactly two edges
+    (bad degree) or when the edges form more than one cycle.
+    """
+    adj: dict[int, list[int]] = defaultdict(list)
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    if not adj or any(len(nbrs) != 2 for nbrs in adj.values()):
+        raise InvalidArgumentError("edges do not form a cycle (bad degree)")
+    start = min(adj)
+    seq = [start]
+    prev, cur = start, min(adj[start])
+    while cur != start:
+        seq.append(cur)
+        x, y = adj[cur]
+        prev, cur = cur, (y if x == prev else x)
+    if len(seq) != len(adj):
+        raise InvalidArgumentError("edges form more than one cycle")
+    return tuple(seq)
 
 
 def validate_tour(instance: Instance, tour: Tour) -> None:

@@ -94,8 +94,15 @@ def parse_tour(text: str) -> Tour:
     return Tour(order)
 
 
+def _read_text(path: str | Path) -> str:
+    try:
+        return Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not a text file ({exc.reason})") from None
+
+
 def read_instance(path: str | Path) -> Instance:
-    return parse_instance(Path(path).read_text())
+    return parse_instance(_read_text(path))
 
 
 def write_instance(instance: Instance, path: str | Path) -> None:
@@ -103,7 +110,7 @@ def write_instance(instance: Instance, path: str | Path) -> None:
 
 
 def read_tour(path: str | Path) -> Tour:
-    return parse_tour(Path(path).read_text())
+    return parse_tour(_read_text(path))
 
 
 def write_tour(tour: Tour, path: str | Path) -> None:

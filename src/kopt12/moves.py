@@ -48,6 +48,7 @@ from .core import (
     Tour,
     canonical_edge,
     cost_edge,
+    cycle_from_edges,
     identity_tour,
     tour_cost,
     validate_tour,
@@ -188,29 +189,17 @@ def apply_move(tour: Tour, move: KMove) -> Tour:
     if not move.removed <= es:
         missing = sorted(move.removed - es)
         raise InvalidMoveError(f"removed edges {missing} are not on the tour")
-    n = tour.n
     new_edges = (es - move.removed) | move.added
-    if len(new_edges) != n:
+    if len(new_edges) != tour.n:
         raise InvalidMoveError("added edges collide with kept tour edges")
-    adj: dict[int, list[int]] = {v: [] for v in tour.order}
-    for u, v in new_edges:
-        if u not in adj or v not in adj:
-            raise InvalidMoveError(f"added edge ({u},{v}) leaves the vertex set")
-        adj[u].append(v)
-        adj[v].append(u)
-    if any(len(nbrs) != 2 for nbrs in adj.values()):
-        raise InvalidMoveError("reconnection does not form a single cycle (bad degree)")
-    start = min(adj)
-    first = min(adj[start])
-    seq = [start]
-    prev, cur = start, first
-    while cur != start:
-        seq.append(cur)
-        x, y = adj[cur]
-        prev, cur = cur, (y if x == prev else x)
-    if len(seq) != n:
-        raise InvalidMoveError("reconnection leaves more than one cycle")
-    return Tour(tuple(seq))
+    ends = {v for e in move.removed for v in e}
+    for u, v in move.added:
+        if u not in ends or v not in ends:
+            raise InvalidMoveError(f"added edge ({u},{v}) does not join removed-edge ends")
+    try:
+        return Tour(cycle_from_edges(new_edges))
+    except InvalidArgumentError as exc:
+        raise InvalidMoveError(f"reconnection fails: {exc}") from None
 
 
 def count_zero_paths(instance: Instance, tour: Tour) -> int:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -338,6 +339,43 @@ class TestUsage:
         rc, _ = run(capsys, ["exact", "--instance", str(tmp_path / "absent.txt")])
         assert rc == 2
 
+    def test_instance_is_directory(self, capsys, tmp_path):
+        assert main(["solve", "--instance", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_binary_instance_file(self, capsys, tmp_path):
+        binary = tmp_path / "binary.txt"
+        binary.write_bytes(b"\xff\xfe\x00\x01")
+        assert main(["solve", "--instance", str(binary)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_report_is_directory(self, capsys, tmp_path):
+        inst, tour = write_hexa(tmp_path)
+        argv = ["analyze", "--instance", inst, "--tour", tour, "--report", str(tmp_path)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "--family", "two-opt-lb", "--n", "8", "--s", "5"],
+            ["gen", "--family", "three-opt-lb", "--s", "3", "--n", "99"],
+            ["gen", "--family", "three-opt-pp-lb", "--s", "2", "--p", "0.5"],
+            ["gen", "--family", "two-opt-lb", "--n", "8", "--seed", "1"],
+            ["gen", "--family", "random", "--n", "8", "--p", "0.5", "--seed", "1", "--s", "2"],
+            ["certify", "--family", "two-opt-lb", "--n", "8", "--s", "5"],
+            ["certify", "--family", "three-opt-lb", "--s", "3", "--n", "24"],
+            ["certify", "--family", "two-opt-lb", "--n", "8", "--instance", "{inst}"],
+            ["certify", "--instance", "{inst}", "--tour", "{tour}", "--n", "6"],
+            ["solve", "--instance", "{inst}", "--tour", "{tour}", "--seed", "3"],
+        ],
+        ids=" ".join,
+    )
+    def test_ignored_option_rejected(self, capsys, tmp_path, argv):
+        inst, tour = write_hexa(tmp_path)
+        assert main([arg.format(inst=inst, tour=tour) for arg in argv]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "certify" in capsys.readouterr().out
@@ -351,3 +389,89 @@ class TestUsage:
 def test_subcommand_help(capsys, sub):
     assert main([sub, "--help"]) == 0
     capsys.readouterr()
+
+
+# Golden outputs of `gen` for each family at two sizes: the stdout lines, then
+# the SHA-256 of the --out-instance, --out-tour and --out-reference files.
+GEN_GOLDEN = {
+    ("two-opt-lb", "--n", "8"): (
+        ["family=two-opt-lb", "n=8", "tour_cost=11", "reference_cost=8", "reference_bound=8"],
+        (
+            "91e23fe4bd8f023cc7e5ae53cb650d53e66b50a0caed44dde707fd7a87ea5a02",
+            "7efb6fb326cfa24fe8adf0ef2b5ffc4d68dddf3b02146f06864dcf4d589bb930",
+            "a1e58260496f018004359d59bf88067b066e4118f8c2f258d3d11068bdbfbfb0",
+        ),
+    ),
+    ("two-opt-lb", "--n", "11"): (
+        ["family=two-opt-lb", "n=11", "tour_cost=15", "reference_cost=11", "reference_bound=11"],
+        (
+            "ab0e2c7754673ec6ca5ec594e8579f4491ffa533deb64fd17ce6eb20fe20fc06",
+            "3201aade9717e54af70ae0981b4fb09e8fcd6488bbfcae06cb5ebffaa2fec16e",
+            "47c3d8c608c412096df9aba026ec01399b64ba148eaddd1152aa9f8065fd4148",
+        ),
+    ),
+    ("three-opt-lb", "--s", "3"): (
+        ["family=three-opt-lb", "n=24", "s=3", "tour_cost=33", "reference_cost=27", "reference_bound=28"],
+        (
+            "68782d37fd76389fec8cb1ae4aff6247d44cdfbd3f56ea36f64b9f1ac5e0e661",
+            "c94abdd600d42c962fab2acb97ade2bf84940ca318daa8a12c99b526d2d7b3be",
+            "4648becb5c7768a45c21d42ec134ca3675965838ac0a11f16f77a9260304c1b4",
+        ),
+    ),
+    ("three-opt-lb", "--s", "5"): (
+        ["family=three-opt-lb", "n=40", "s=5", "tour_cost=55", "reference_cost=43", "reference_bound=44"],
+        (
+            "4e7246ae9732de80a1709a080c90560d37b8e39893a0cd495a442ce9eb96cbff",
+            "45b92b0dd31270ba5b2cd7a78a6dc4486229ea63def9e2b3ef62d12ef2bda74c",
+            "7df1ce2e0bc17a771ffb902393694c0517ecfe2146e519721ab32a7f4cb5a8fc",
+        ),
+    ),
+    ("three-opt-pp-lb", "--s", "2"): (
+        ["family=three-opt-pp-lb", "n=12", "s=2", "tour_cost=16", "reference_cost=12", "reference_bound=12"],
+        (
+            "8fbb2db60f31f83df4b5d5e54632502f9dc079b4bd4e663f6bb352815f74cbdd",
+            "e99a1ae558b80a2cbeab4740489ce821aa2d26ffe91f5e6da72210d5c7f93068",
+            "1c25b9cf5a397450425f20f7797550877a36ff28c1e666e78d04b4d366b08b93",
+        ),
+    ),
+    ("three-opt-pp-lb", "--s", "5"): (
+        ["family=three-opt-pp-lb", "n=30", "s=5", "tour_cost=40", "reference_cost=30", "reference_bound=30"],
+        (
+            "112553c63ca0e42c990f68c4aa75cb5c5365a154bc81962698f22d277c58e238",
+            "3fdbffef6050df8814874088c43d5d276b12194f2fb8e3a2229a18c3c2470775",
+            "fcdab3d836fb07667df0b87e3ac7d8ca6ae98dace13b80b23f1fbfd516c7e879",
+        ),
+    ),
+}
+
+CERTIFY_GOLDEN = {
+    ("two-opt-lb", "--n", "8", "--k", "2"): [
+        "verdict=optimal", "k=2", "predicate=plain", "examined=20",
+    ],
+    ("three-opt-lb", "--s", "3", "--k", "3"): [
+        "verdict=optimal", "k=3", "predicate=plain", "examined=6812",
+    ],
+    ("three-opt-pp-lb", "--s", "2", "--k", "3", "--plus-plus"): [
+        "verdict=optimal", "k=3", "predicate=pp", "examined=598",
+    ],
+}
+
+
+@pytest.mark.parametrize("args", list(GEN_GOLDEN), ids=" ".join)
+def test_gen_golden_output(capsys, tmp_path, args):
+    expected_lines, expected_digests = GEN_GOLDEN[args]
+    files = [tmp_path / name for name in ("instance.txt", "tour.txt", "reference.txt")]
+    argv = ["gen", "--family", *args]
+    for flag, path in zip(("--out-instance", "--out-tour", "--out-reference"), files):
+        argv += [flag, str(path)]
+    rc, lines = run(capsys, argv)
+    assert rc == 0
+    assert lines == expected_lines
+    assert tuple(hashlib.sha256(f.read_bytes()).hexdigest() for f in files) == expected_digests
+
+
+@pytest.mark.parametrize("args", list(CERTIFY_GOLDEN), ids=" ".join)
+def test_certify_family_golden_output(capsys, args):
+    rc, lines = run(capsys, ["certify", "--family", *args])
+    assert rc == 0
+    assert lines == CERTIFY_GOLDEN[args]

@@ -123,6 +123,8 @@ class TestRegularity:
         with pytest.raises(InvalidArgumentError):
             is_regular("no-such-family", 8, 8)
         with pytest.raises(InvalidArgumentError):
+            is_regular("two-opt-lb", 8, 8)
+        with pytest.raises(InvalidArgumentError):
             is_regular("three-opt-lb", 7, 6)
         with pytest.raises(InvalidArgumentError):
             is_regular("three-opt-lb", 2, 8)

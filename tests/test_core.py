@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from kopt12 import (
     DuplicateVertexError,
@@ -14,6 +15,7 @@ from kopt12 import (
     WrongLengthError,
     canonical_edge,
     cost_edge,
+    cycle_from_edges,
     identity_tour,
     one_path_decomposition,
     tour_cost,
@@ -108,6 +110,28 @@ def test_tour_edges_are_canonical():
 
 def test_identity_tour():
     assert identity_tour(5).order == (0, 1, 2, 3, 4)
+
+
+class TestCycleFromEdges:
+    def test_starts_at_least_vertex_toward_smaller_neighbour(self):
+        assert cycle_from_edges([(3, 9), (5, 9), (3, 7), (5, 7)]) == (3, 7, 5, 9)
+
+    @given(st.permutations(range(8)))
+    def test_recovers_any_tour(self, order):
+        tour = Tour(tuple(order))
+        walked = cycle_from_edges(tour.edges())
+        assert walked[0] == 0 and walked[1] < walked[-1]
+        assert Tour(walked).edge_set == tour.edge_set
+
+    def test_bad_degree(self):
+        for edges in ([], [(0, 1), (1, 2)], [(0, 1), (1, 2), (0, 2), (0, 3)]):
+            with pytest.raises(InvalidArgumentError, match="bad degree"):
+                cycle_from_edges(edges)
+
+    def test_more_than_one_cycle(self):
+        edges = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]
+        with pytest.raises(InvalidArgumentError, match="more than one cycle"):
+            cycle_from_edges(edges)
 
 
 def test_tour_cost_hexa(hexa, hexa_tour):

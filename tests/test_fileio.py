@@ -98,3 +98,12 @@ def test_file_round_trip(tmp_path, hexa):
     write_tour(Tour((5, 0, 1, 2, 3, 4)), tpath)
     assert read_instance(ipath) == hexa
     assert read_tour(tpath) == Tour((5, 0, 1, 2, 3, 4))
+
+
+def test_binary_file_is_parse_error(tmp_path):
+    path = tmp_path / "binary.txt"
+    path.write_bytes(b"\xff\xfe\x00\x01")
+    with pytest.raises(ParseError, match="not a text file"):
+        read_instance(path)
+    with pytest.raises(ParseError, match="not a text file"):
+        read_tour(path)
