@@ -23,6 +23,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 
 from .core import (
     Edge,
@@ -137,44 +138,116 @@ class RatioReport:
     bound_pp: Fraction
 
 
-def _heavy_edge_count(instance: Instance, tour: Tour) -> int:
-    c = instance.cost_matrix
-    return sum(1 for u, v in tour.edges() if c[u, v] == 2)
+# Counters by holding vertex, tour neighbours by vertex, 1-path vertex sequences.
+_Held = dict[int, list[Counter]]
+_Nbrs = dict[int, tuple[int, int]]
+_Paths = tuple[tuple[int, ...], ...]
+
+
+def _neighbours(tour: Tour) -> _Nbrs:
+    """The two tour neighbours of each vertex."""
+    o = tour.order
+    return {v: (o[i - 1], o[(i + 1) % len(o)]) for i, v in enumerate(o)}
 
 
 def distribute_counters(instance: Instance, tour: Tour, optimal_tour: Tour) -> CounterLedger:
     """Place counters as described in the module docstring."""
     validate_tour(instance, tour)
-    validate_tour(instance, optimal_tour)
+    f = tour_cost(instance, optimal_tour) - instance.n
     c = instance.cost_matrix
     dec = one_path_decomposition(instance, tour)
-    l = _heavy_edge_count(instance, tour)
-    nbr: dict[int, list[int]] = defaultdict(list)
-    for u, v in optimal_tour.edges():
-        nbr[u].append(v)
-        nbr[v].append(u)
+    # Each 1-path is followed by exactly one cost-2 tour edge.
+    l = len(dec.paths)
+    nbr = _neighbours(optimal_tour)
     counters: list[Counter] = []
     for pid, path in enumerate(dec.paths):
-        if len(path) == 1:
-            v = path[0]
+        kinds = ("good", "good") if len(path) == 1 else ("bad",)
+        for v in sorted({path[0], path[-1]}):
             for w in sorted(nbr[v]):
                 if c[v, w] == 1:
-                    edge = canonical_edge(v, w)
-                    counters.append(Counter("good", w, pid, edge))
-                    counters.append(Counter("good", w, pid, edge))
-        else:
-            for v in (path[0], path[-1]):
-                for w in sorted(nbr[v]):
-                    if c[v, w] == 1:
-                        counters.append(Counter("bad", w, pid, canonical_edge(v, w)))
+                    counters += [Counter(kind, w, pid, canonical_edge(v, w)) for kind in kinds]
     return CounterLedger(
         counters=tuple(counters),
         h=instance.n - l,
         l=l,
-        f=_heavy_edge_count(instance, optimal_tour),
+        f=f,
         optimal_tour=optimal_tour,
         decomposition=dec,
     )
+
+
+def _counter_index(ledger: CounterLedger) -> tuple[_Held, set[int]]:
+    """The counters held at each vertex, and the vertices holding a good one."""
+    at: _Held = defaultdict(list)
+    for ctr in ledger.counters:
+        at[ctr.at].append(ctr)
+    good_at = {v for v, cs in at.items() if any(x.kind == "good" for x in cs)}
+    return dict(at), good_at
+
+
+def _property_1(at: _Held) -> tuple | None:
+    """Counters arrive at a vertex via at most two reference edges, and each
+    via group is two goods or one bad."""
+    for v in sorted(at):
+        groups: dict[Edge, list[str]] = defaultdict(list)
+        for ctr in at[v]:
+            groups[ctr.via_edge].append(ctr.kind)
+        if len(groups) > 2:
+            return (v,)
+        for e, kinds in sorted(groups.items()):
+            if sorted(kinds) not in (["good", "good"], ["bad"]):
+                return (v, e)
+    return None
+
+
+def _property_2(tnbr: _Nbrs, at: _Held, good_at: set[int]) -> tuple | None:
+    """Two vertices holding good counters are never tour neighbours, and no
+    common tour neighbour holds any counter."""
+    goods = sorted(good_at)
+    for ia, a in enumerate(goods):
+        for b in goods[ia + 1 :]:
+            if b in tnbr[a]:
+                return (a, b)
+            for w in sorted(set(tnbr[a]) & set(tnbr[b])):
+                if w in at:
+                    return (a, w, b)
+    return None
+
+
+def _property_3(paths: _Paths, at: _Held) -> tuple | None:
+    """Vertices forming a length-0 1-path hold no counters; endpoints of
+    longer 1-paths hold no good and at most one bad."""
+    for pid, path in enumerate(paths):
+        allowed = 0 if len(path) == 1 else 1
+        for v in sorted({path[0], path[-1]}):
+            kinds = [x.kind for x in at.get(v, ())]
+            if "good" in kinds or len(kinds) > allowed:
+                return (pid, v)
+    return None
+
+
+def _property_4(
+    instance: Instance, paths: _Paths, tnbr: _Nbrs, at: _Held, good_at: set[int]
+) -> tuple | None:
+    """An endpoint holding a counter has no cost-1 tour neighbour that
+    holds a good counter."""
+    c = instance.cost_matrix
+    for path in paths:
+        for p in sorted({path[0], path[-1]} & at.keys()):
+            for w in sorted(tnbr[p]):
+                if c[p, w] == 1 and w in good_at:
+                    return (p, w)
+    return None
+
+
+def _property_5(counters: tuple[Counter, ...]) -> tuple | None:
+    """A 1-path emits at most four bad counters."""
+    bad = sorted(ctr.source_path for ctr in counters if ctr.kind == "bad")
+    for pid, group in groupby(bad):
+        emitted = len(list(group))
+        if emitted > 4:
+            return (pid, emitted)
+    return None
 
 
 def check_counter_properties(
@@ -187,105 +260,17 @@ def check_counter_properties(
     failed check carries the smallest offending witness found.
     """
     validate_tour(instance, tour)
-    c = instance.cost_matrix
-    at: dict[int, list[Counter]] = defaultdict(list)
-    for ctr in ledger.counters:
-        at[ctr.at].append(ctr)
-    good_at = {v for v, cs in at.items() if any(x.kind == "good" for x in cs)}
-    tnbr: dict[int, list[int]] = defaultdict(list)
-    for u, v in tour.edges():
-        tnbr[u].append(v)
-        tnbr[v].append(u)
-
-    # Property 1: counters arrive at a vertex via at most two reference
-    # edges, and each via group is two goods or one bad.
-    p1 = PropertyCheck(True, None)
-    for v in sorted(at):
-        groups: dict[Edge, list[str]] = defaultdict(list)
-        for ctr in at[v]:
-            groups[ctr.via_edge].append(ctr.kind)
-        if len(groups) > 2:
-            p1 = PropertyCheck(False, (v,))
-            break
-        bad_group = next(
-            (e for e, kinds in sorted(groups.items())
-             if sorted(kinds) not in (["good", "good"], ["bad"])),
-            None,
-        )
-        if bad_group is not None:
-            p1 = PropertyCheck(False, (v, bad_group))
-            break
-
-    # Property 2: two vertices holding good counters are never tour
-    # neighbours, and no common tour neighbour holds any counter.
-    p2 = PropertyCheck(True, None)
-    goods = sorted(good_at)
-    done = False
-    for ia in range(len(goods)):
-        if done:
-            break
-        for ib in range(ia + 1, len(goods)):
-            a, b = goods[ia], goods[ib]
-            if canonical_edge(a, b) in tour.edge_set:
-                p2 = PropertyCheck(False, (a, b))
-                done = True
-                break
-            common = sorted(set(tnbr[a]) & set(tnbr[b]))
-            hit = next((w for w in common if at[w]), None)
-            if hit is not None:
-                p2 = PropertyCheck(False, (a, hit, b))
-                done = True
-                break
-
-    # Property 3: vertices forming a length-0 1-path hold no counters;
-    # endpoints of longer 1-paths hold no good and at most one bad.
-    p3 = PropertyCheck(True, None)
-    for pid, path in enumerate(ledger.decomposition.paths):
-        if len(path) == 1:
-            if at[path[0]]:
-                p3 = PropertyCheck(False, (pid, path[0]))
-                break
-        else:
-            stop = False
-            for v in (path[0], path[-1]):
-                kinds = [x.kind for x in at[v]]
-                if "good" in kinds or kinds.count("bad") > 1:
-                    p3 = PropertyCheck(False, (pid, v))
-                    stop = True
-                    break
-            if stop:
-                break
-
-    # Property 4: an endpoint holding a counter has no cost-1 tour
-    # neighbour that holds a good counter.
-    p4 = PropertyCheck(True, None)
-    for path in ledger.decomposition.paths:
-        stop = False
-        for p in sorted({path[0], path[-1]}):
-            if not at[p]:
-                continue
-            hit = next(
-                (w for w in sorted(tnbr[p]) if c[p, w] == 1 and w in good_at), None
-            )
-            if hit is not None:
-                p4 = PropertyCheck(False, (p, hit))
-                stop = True
-                break
-        if stop:
-            break
-
-    # Property 5: a 1-path emits at most four bad counters.
-    p5 = PropertyCheck(True, None)
-    by_source: dict[int, int] = defaultdict(int)
-    for ctr in ledger.counters:
-        if ctr.kind == "bad":
-            by_source[ctr.source_path] += 1
-    for pid in sorted(by_source):
-        if by_source[pid] > 4:
-            p5 = PropertyCheck(False, (pid, by_source[pid]))
-            break
-
-    return PropertyReport((p1, p2, p3, p4, p5))
+    at, good_at = _counter_index(ledger)
+    tnbr = _neighbours(tour)
+    paths = ledger.decomposition.paths
+    witnesses = (
+        _property_1(at),
+        _property_2(tnbr, at, good_at),
+        _property_3(paths, at),
+        _property_4(instance, paths, tnbr, at, good_at),
+        _property_5(ledger.counters),
+    )
+    return PropertyReport(tuple(PropertyCheck(w is None, w) for w in witnesses))
 
 
 def count_bound_check(ledger: CounterLedger) -> bool:
@@ -347,6 +332,12 @@ def ratio_upper_bound(d) -> Fraction:
     return 1 + dd / (4 + dd)
 
 
+# Cost ratio bounds of 3-optimal tours (counter density 12/5) and of
+# 3-Opt++ optima (density 2).
+BOUND_PLAIN = ratio_upper_bound(Fraction(12, 5))
+BOUND_PP = ratio_upper_bound(2)
+
+
 def pp_path_checks(instance: Instance, tour: Tour, ledger: CounterLedger) -> PathCheckReport:
     """Per-path counter limits that hold under the merging predicate.
 
@@ -354,16 +345,11 @@ def pp_path_checks(instance: Instance, tour: Tour, ledger: CounterLedger) -> Pat
     edges, and a 1-path with x edges holds at most 2x counters in total.
     """
     validate_tour(instance, tour)
-    at_count: dict[int, int] = defaultdict(int)
-    good_at: set[int] = set()
-    for ctr in ledger.counters:
-        at_count[ctr.at] += 1
-        if ctr.kind == "good":
-            good_at.add(ctr.at)
+    at, good_at = _counter_index(ledger)
     violations: list[PathViolation] = []
     for pid, path in enumerate(ledger.decomposition.paths):
         x = len(path) - 1
-        carried = sum(at_count[v] for v in path)
+        carried = sum(len(at.get(v, ())) for v in path)
         if any(v in good_at for v in path) and x != 2:
             violations.append(PathViolation("good-path-length", pid, (x,)))
         if carried > 2 * x:
@@ -375,13 +361,15 @@ def ratio_report(instance: Instance, tour: Tour, reference: Tour) -> RatioReport
     """Cost ratio of tour against reference plus the analytic bounds."""
     cost_t = tour_cost(instance, tour)
     cost_r = tour_cost(instance, reference)
+    # A tour costs n plus its number of cost-2 edges.
+    l = cost_t - instance.n
     return RatioReport(
         cost_tour=cost_t,
         cost_reference=cost_r,
         ratio=Fraction(cost_t, cost_r),
-        h=instance.n - _heavy_edge_count(instance, tour),
-        l=_heavy_edge_count(instance, tour),
-        f=_heavy_edge_count(instance, reference),
-        bound_plain=ratio_upper_bound(Fraction(12, 5)),
-        bound_pp=ratio_upper_bound(2),
+        h=instance.n - l,
+        l=l,
+        f=cost_r - instance.n,
+        bound_plain=BOUND_PLAIN,
+        bound_pp=BOUND_PP,
     )

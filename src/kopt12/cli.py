@@ -23,6 +23,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from .analysis import (
+    BOUND_PLAIN,
+    BOUND_PP,
     check_counter_properties,
     count_bound_check,
     distribute_counters,
@@ -30,7 +32,7 @@ from .analysis import (
     dual_slack,
     gb_values,
     pp_path_checks,
-    ratio_upper_bound,
+    ratio_report,
 )
 from .certify import (
     certify_k_optimal,
@@ -51,9 +53,6 @@ from .errors import (
 from .exact import HELD_KARP_LIMIT, held_karp
 from .fileio import read_instance, read_tour, write_instance, write_tour
 from .moves import format_kmove, local_search
-
-_BOUND_PLAIN = ratio_upper_bound(Fraction(12, 5))
-_BOUND_PP = ratio_upper_bound(2)
 
 
 @dataclass(frozen=True)
@@ -140,7 +139,7 @@ def _sweep_cell(task: tuple[int, float, int, int, int]) -> tuple[RunRecord, ...]
             else:
                 ok, detail = False, "not-locally-optimal"
             ratio = Fraction(stats.final_cost, opt.cost)
-            bound = _BOUND_PP if predicate == "pp" else _BOUND_PLAIN
+            bound = BOUND_PP if predicate == "pp" else BOUND_PLAIN
             if ok and ratio > bound:
                 ok, detail = False, "ratio-bound"
             records.append(
@@ -193,10 +192,11 @@ def run_sweep(config: SweepConfig) -> SweepResult:
 
 
 def _emit(lines: list[str], report: str | None) -> None:
-    for line in lines:
-        print(line)
+    """Write the report file first, so a failed write prints nothing."""
     if report:
         Path(report).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    for line in lines:
+        print(line)
 
 
 def _bool(value: bool) -> str:
@@ -318,15 +318,18 @@ def _cmd_exact(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
+    if args.optimal and args.limit is not None:
+        raise InvalidArgumentError("--limit caps the exact solver, which --optimal skips")
     instance = read_instance(Path(args.instance))
     tour = read_tour(Path(args.tour))
     if args.optimal:
         reference = read_tour(Path(args.optimal))
     else:
-        reference = held_karp(instance, args.limit).tour
+        limit = HELD_KARP_LIMIT if args.limit is None else args.limit
+        reference = held_karp(instance, limit).tour
     ledger = distribute_counters(instance, tour, reference)
     report = check_counter_properties(instance, tour, ledger)
-    ratio = Fraction(tour_cost(instance, tour), tour_cost(instance, reference))
+    ratios = ratio_report(instance, tour, reference)
     lines = [
         f"h={ledger.h}",
         f"l={ledger.l}",
@@ -335,14 +338,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         f"counters_good={ledger.good_total}",
         f"counters_bad={ledger.bad_total}",
         f"bound_ok={_bool(count_bound_check(ledger))}",
-    ]
-    lines += [
-        f"prop{i}={'pass' if report.check(i).passed else 'fail'}" for i in range(1, 6)
-    ]
-    lines += [
-        f"ratio={ratio}",
-        f"bound_plain={_BOUND_PLAIN}",
-        f"bound_pp={_BOUND_PP}",
+        *(f"prop{i}={'pass' if c.passed else 'fail'}" for i, c in enumerate(report.checks, 1)),
+        f"ratio={ratios.ratio}",
+        f"bound_plain={ratios.bound_plain}",
+        f"bound_pp={ratios.bound_pp}",
     ]
     _emit(lines, args.report)
     return 0
@@ -358,8 +357,8 @@ def _cmd_verify_lemmas(args: argparse.Namespace) -> int:
     for r in (0, 1, 2):
         vals = ",".join(str(v) for v in report.slack_by_residue[r])
         lines.append(f"slack_mod{r}={vals}")
-    lines.append(f"ratio_bound_12_5={_BOUND_PLAIN}")
-    lines.append(f"ratio_bound_2={_BOUND_PP}")
+    lines.append(f"ratio_bound_12_5={BOUND_PLAIN}")
+    lines.append(f"ratio_bound_2={BOUND_PP}")
     _emit(lines, None)
     return 0 if report.ok else 1
 
@@ -446,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instance", required=True)
     p.add_argument("--tour", required=True)
     p.add_argument("--optimal", help="reference tour file; exact optimum if omitted")
-    p.add_argument("--limit", type=int, default=HELD_KARP_LIMIT)
+    p.add_argument("--limit", type=int, help=f"exact solver size cap (default {HELD_KARP_LIMIT})")
     p.add_argument("--report")
     p.set_defaults(func=_cmd_analyze)
 

@@ -117,10 +117,6 @@ class Tour:
     def edge_set(self) -> frozenset[Edge]:
         return frozenset(self.edges())
 
-    @cached_property
-    def position(self) -> dict[int, int]:
-        return {v: i for i, v in enumerate(self.order)}
-
 
 def identity_tour(n: int) -> Tour:
     return Tour(tuple(range(n)))
@@ -194,13 +190,6 @@ class PathDecomposition:
     @property
     def zero_path_count(self) -> int:
         return sum(1 for p in self.paths if len(p) == 1)
-
-    def edge_counts(self) -> tuple[int, ...]:
-        return tuple(len(p) - 1 for p in self.paths)
-
-    def endpoints(self) -> tuple[tuple[int, int], ...]:
-        """(first, last) vertex of each path; equal for length-0 paths."""
-        return tuple((p[0], p[-1]) for p in self.paths)
 
 
 def _canonical_path(seq: list[int]) -> tuple[int, ...]:

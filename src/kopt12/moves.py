@@ -53,7 +53,7 @@ from .core import (
     tour_cost,
     validate_tour,
 )
-from .errors import InvalidArgumentError, InvalidMoveError, ParseError
+from .errors import InvalidArgumentError, InvalidMoveError
 
 # Added-edge endpoint patterns over (f, a, b, c, d, e), see module docstring.
 # Order defines pattern ids 1..4 within one removal tuple.
@@ -63,6 +63,8 @@ _PATTERNS: tuple[tuple[tuple[int, int], ...], ...] = (
     ((0, 4), (1, 3), (2, 5)),  # exchanged, second segment reversed
     ((0, 3), (2, 4), (1, 5)),  # exchanged, first segment reversed
 )
+# The one reconnection of a 2-move over (t[i], t[i+1], t[j], t[j+1]).
+_PAIR_PATTERN = ((0, 2), (1, 3))
 # Per pattern, the ends (ex, ey) joined by its added edge between removed
 # edges i and j, i and k, and j and k (end 0 of edge x is t[x], end 1 t[x+1]).
 _PATTERN_ENDS = tuple(
@@ -96,30 +98,6 @@ def format_kmove(move: KMove) -> str:
     rem = " ".join(f"({u},{v})" for u, v in sorted(move.removed))
     add = " ".join(f"({u},{v})" for u, v in sorted(move.added))
     return f"remove {rem} add {add} gain {move.gain}"
-
-
-def parse_kmove(text: str) -> KMove:
-    tokens = text.split()
-    try:
-        ir = tokens.index("remove")
-        ia = tokens.index("add")
-        ig = tokens.index("gain")
-    except ValueError:
-        raise ParseError(f"malformed move record {text!r}") from None
-
-    def pairs(chunk: list[str]) -> frozenset[Edge]:
-        out = set()
-        for tok in chunk:
-            if not (tok.startswith("(") and tok.endswith(")")):
-                raise ParseError(f"bad edge token {tok!r}")
-            u, _, v = tok[1:-1].partition(",")
-            out.add(canonical_edge(int(u), int(v)))
-        return frozenset(out)
-
-    try:
-        return KMove(pairs(tokens[ir + 1 : ia]), pairs(tokens[ia + 1 : ig]), int(tokens[ig + 1]))
-    except (ValueError, IndexError):
-        raise ParseError(f"malformed move record {text!r}") from None
 
 
 def _require_enumerable(n: int, k: int) -> None:
@@ -435,33 +413,14 @@ def _least_key(instance: Instance, tour: Tour, k: int, plusplus: bool) -> tuple 
 
 
 def _move_from_key(tour: Tour, key: tuple) -> KMove:
+    """The move of scan key (i, j) or (i, j, k, pattern id)."""
     o = tour.order
     n = len(o)
-    if len(key) == 2:
-        i, j = key
-        removed = frozenset(
-            (
-                canonical_edge(o[i], o[(i + 1) % n]),
-                canonical_edge(o[j], o[(j + 1) % n]),
-            )
-        )
-        added = frozenset(
-            (
-                canonical_edge(o[i], o[j]),
-                canonical_edge(o[(i + 1) % n], o[(j + 1) % n]),
-            )
-        )
-        return KMove(removed, added)
-    i, j, kk, pid = key
-    verts = (o[i], o[(i + 1) % n], o[j], o[(j + 1) % n], o[kk], o[(kk + 1) % n])
-    removed = frozenset(
-        (
-            canonical_edge(o[i], o[(i + 1) % n]),
-            canonical_edge(o[j], o[(j + 1) % n]),
-            canonical_edge(o[kk], o[(kk + 1) % n]),
-        )
-    )
-    added = frozenset(canonical_edge(verts[x], verts[y]) for x, y in _PATTERNS[pid - 1])
+    pos, pattern = (key, _PAIR_PATTERN) if len(key) == 2 else (key[:3], _PATTERNS[key[3] - 1])
+    # The ends t[x], t[x+1] of each removed position x, as in the pattern labels.
+    ends = [o[(x + d) % n] for x in pos for d in (0, 1)]
+    removed = frozenset(canonical_edge(ends[e], ends[e + 1]) for e in range(0, len(ends), 2))
+    added = frozenset(canonical_edge(ends[x], ends[y]) for x, y in pattern)
     return KMove(removed, added)
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -14,7 +15,9 @@ from kopt12 import (
     CounterLedger,
     Instance,
     InvalidArgumentError,
+    PropertyCheck,
     Tour,
+    canonical_edge,
     check_counter_properties,
     count_bound_check,
     distribute_counters,
@@ -195,3 +198,80 @@ def test_certified_tours_satisfy_all_properties(seed):
 def test_distribute_validates_tours(hexa):
     with pytest.raises(Exception):
         distribute_counters(hexa, Tour((0, 1, 2)), identity_tour(6))
+
+
+def _one_path_ledger(counters) -> tuple[Instance, Tour, CounterLedger]:
+    """A hand-built ledger on n=8 whose tour is one 1-path of seven edges."""
+    pairs = [(v, v + 1) for v in range(7)]
+    instance = Instance.from_pairs(8, pairs)
+    tour = identity_tour(8)
+    ledger = CounterLedger(
+        counters=tuple(counters),
+        h=7,
+        l=1,
+        f=0,
+        optimal_tour=tour,
+        decomposition=one_path_decomposition(instance, tour),
+    )
+    return instance, tour, ledger
+
+
+def test_property_1_fails_on_three_via_edges():
+    instance, tour, ledger = _one_path_ledger(
+        Counter("bad", 3, 0, canonical_edge(3, w)) for w in (0, 5, 6)
+    )
+    assert check_counter_properties(instance, tour, ledger).check(1) == PropertyCheck(
+        False, (3,)
+    )
+
+
+def test_property_1_fails_on_single_good_counter():
+    instance, tour, ledger = _one_path_ledger([Counter("good", 3, 0, (3, 6))])
+    assert check_counter_properties(instance, tour, ledger).check(1) == PropertyCheck(
+        False, (3, (3, 6))
+    )
+
+
+def test_property_5_fails_on_five_bad_counters_from_one_path():
+    instance, tour, ledger = _one_path_ledger(
+        Counter("bad", v, 0, (0, v)) for v in (2, 3, 4, 5, 6)
+    )
+    report = check_counter_properties(instance, tour, ledger)
+    assert report.check(5) == PropertyCheck(False, (0, 5))
+    assert report.check(1).passed
+
+
+# SHA-256 over the analysis of 300 seeded random (instance, tour, reference)
+# triples, every third tour descended first: ledger tallies and counters,
+# the five property checks, the ++ path checks and the ratio report.
+ANALYSIS_GOLDEN = "b17e2f7beb2ff6d0fb2cd5058d2e58f61da9d439aa08f4b8012b0f413451b729"
+
+
+def test_analysis_golden_digest():
+    rng = random.Random(2021)
+    digest = hashlib.sha256()
+    fails = [0] * 6
+    for trial in range(300):
+        n = rng.randrange(5, 11)
+        p = rng.choice((0.3, 0.5, 0.7))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        instance = Instance.from_pairs(n, pairs)
+        tour, reference = (Tour(tuple(rng.sample(range(n), n))) for _ in range(2))
+        if trial % 3 == 0:
+            tour, _ = local_search(instance, start=tour, k=3, plusplus=trial % 2 == 0)
+        ledger = distribute_counters(instance, tour, reference)
+        report = check_counter_properties(instance, tour, ledger)
+        for i, check in enumerate(report.checks, 1):
+            fails[i] += not check.passed
+        record = (
+            (ledger.h, ledger.l, ledger.f, ledger.total, ledger.good_total, ledger.bad_total),
+            ledger.counters,
+            report,
+            pp_path_checks(instance, tour, ledger),
+            ratio_report(instance, tour, reference),
+        )
+        digest.update(repr(record).encode())
+    # Properties 2, 3 and 4 each fail on some triples, so the digest pins
+    # their witnesses and not only passing reports.
+    assert all(fails[i] for i in (2, 3, 4)), fails
+    assert digest.hexdigest() == ANALYSIS_GOLDEN

@@ -245,6 +245,32 @@ class TestAnalyze:
         assert rc == 0
         assert report.read_text().splitlines() == lines
 
+    def test_family_member_golden_output(self, capsys, tmp_path):
+        files = [str(tmp_path / f) for f in ("i.txt", "t.txt", "r.txt")]
+        gen = ["gen", "--family", "three-opt-lb", "--s", "3", "--out-instance", files[0]]
+        assert main(gen + ["--out-tour", files[1], "--out-reference", files[2]]) == 0
+        capsys.readouterr()
+        argv = ["analyze", "--instance", files[0], "--tour", files[1], "--optimal", files[2]]
+        rc, lines = run(capsys, argv)
+        assert rc == 0
+        assert lines == [
+            "h=15",
+            "l=9",
+            "f=3",
+            "counters_total=30",
+            "counters_good=20",
+            "counters_bad=10",
+            "bound_ok=true",
+            "prop1=pass",
+            "prop2=pass",
+            "prop3=pass",
+            "prop4=pass",
+            "prop5=pass",
+            "ratio=11/9",
+            "bound_plain=11/8",
+            "bound_pp=4/3",
+        ]
+
 
 class TestVerifyLemmas:
     def test_small_horizon(self, capsys):
@@ -353,7 +379,16 @@ class TestUsage:
         inst, tour = write_hexa(tmp_path)
         argv = ["analyze", "--instance", inst, "--tour", tour, "--report", str(tmp_path)]
         assert main(argv) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
+
+    def test_sweep_report_is_directory(self, capsys, tmp_path):
+        argv = ["sweep", "--n-min", "6", "--n-max", "6", "--per-cell", "1", "--p", "0.5"]
+        assert main(argv + ["--report", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
 
     @pytest.mark.parametrize(
         "argv",
@@ -368,6 +403,7 @@ class TestUsage:
             ["certify", "--family", "two-opt-lb", "--n", "8", "--instance", "{inst}"],
             ["certify", "--instance", "{inst}", "--tour", "{tour}", "--n", "6"],
             ["solve", "--instance", "{inst}", "--tour", "{tour}", "--seed", "3"],
+            ["analyze", "--instance", "{inst}", "--tour", "{tour}", "--optimal", "{tour}", "--limit", "3"],
         ],
         ids=" ".join,
     )

@@ -104,7 +104,6 @@ def test_tour_edges_are_canonical():
     t = Tour((2, 0, 3, 1))
     assert list(t.edges()) == [(0, 2), (0, 3), (1, 3), (1, 2)]
     assert t.edge_set == frozenset({(0, 2), (0, 3), (1, 3), (1, 2)})
-    assert t.position == {2: 0, 0: 1, 3: 2, 1: 3}
     assert t.n == 4
 
 
@@ -152,8 +151,6 @@ def test_decomposition_hexa(hexa, hexa_tour):
     assert dec.paths == ((0,), (1, 2, 3, 4, 5))
     assert not dec.whole_cycle
     assert dec.zero_path_count == 1
-    assert dec.edge_counts() == (0, 4)
-    assert dec.endpoints() == ((0, 0), (1, 5))
 
 
 def test_decomposition_whole_cycle():

@@ -20,7 +20,6 @@ from kopt12 import (
     InvalidArgumentError,
     InvalidMoveError,
     KMove,
-    ParseError,
     Tour,
     apply_move,
     canonical_edge,
@@ -38,7 +37,6 @@ from kopt12 import (
     move_gain,
     neighborhood_size,
     one_path_decomposition,
-    parse_kmove,
     random_instance,
     tour_cost,
 )
@@ -469,24 +467,8 @@ def test_format_parse_kmove_round_trip():
     )
     text = format_kmove(move)
     assert text == "remove (0,1) (2,3) (4,5) add (0,3) (1,5) (2,4) gain 1"
-    assert parse_kmove(text) == move
 
 
 def test_format_kmove_requires_gain():
     with pytest.raises(InvalidArgumentError):
         format_kmove(KMove(frozenset({(0, 1)}), frozenset({(0, 2)})))
-
-
-@pytest.mark.parametrize(
-    "text",
-    [
-        "",
-        "remove (0,1) gain 1",
-        "remove (0,1) add 0,2 gain 1",
-        "remove (0,1) add (0,2) gain x",
-        "remove (0,1) add (0,2)",
-    ],
-)
-def test_parse_kmove_rejects(text):
-    with pytest.raises(ParseError):
-        parse_kmove(text)
