@@ -152,10 +152,9 @@ def _neighbours(tour: Tour) -> _Nbrs:
 
 def distribute_counters(instance: Instance, tour: Tour, optimal_tour: Tour) -> CounterLedger:
     """Place counters as described in the module docstring."""
-    validate_tour(instance, tour)
+    dec = one_path_decomposition(instance, tour)
     f = tour_cost(instance, optimal_tour) - instance.n
     c = instance.cost_matrix
-    dec = one_path_decomposition(instance, tour)
     # Each 1-path is followed by exactly one cost-2 tour edge.
     l = len(dec.paths)
     nbr = _neighbours(optimal_tour)

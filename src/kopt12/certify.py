@@ -44,7 +44,6 @@ def neighborhood_size(n: int, k: int) -> int:
 
 
 def _certify(instance: Instance, tour: Tour, k: int, plusplus: bool) -> Certificate:
-    validate_tour(instance, tour)
     witness = find_improving(instance, tour, k, plusplus)
     return Certificate(
         verdict="optimal" if witness is None else "non-optimal",
@@ -103,7 +102,6 @@ def find_forbidden_constellation(
 
 def endpoint_pair_violations(instance: Instance, tour: Tour) -> list[tuple[int, int]]:
     """Cost-1 pairs of endpoints taken from two different 1-paths, sorted."""
-    validate_tour(instance, tour)
     dec = one_path_decomposition(instance, tour)
     if dec.whole_cycle or len(dec.paths) < 2:
         return []

@@ -22,14 +22,16 @@ find_improving runs a vectorised scan instead of the generator.  It
 tabulates a score for every candidate by removed-edge positions: the gain
 under the plain predicate, and under ++ the gain combined with dz, the
 change in the number of isolated vertices, which depends only on the at
-most six endpoints of the removed edges.  A candidate is accepted when its
-score is at least 1 (gain >= 1, or under ++ also gain = 0 and dz < 0), and
-the scan returns the least accepted key: the move the generator would
-accept first.  Keys order by leading position first, so the n^3 triple
-tables are built one block of leading positions at a time, in ascending
-order, and the scan stops at the first block that holds an accepted
-candidate.  A descent step thus usually builds only the first rows, and a
-certificate scan, which visits every block, holds one block at a time.
+most six endpoints of the removed edges.  The score sums one term per added
+edge, with each removed edge's own term folded into the added edge at its
+end 0.  A candidate is accepted when its score is at least 1 (gain >= 1, or
+under ++ also gain = 0 and dz < 0), and the scan returns the least accepted
+key: the move the generator would accept first.  Keys order by leading
+position first, so the n^3 triple tables are built one block of leading
+positions at a time, in ascending order, and the scan stops at the first
+block that holds an accepted candidate.  A descent step thus usually builds
+only the first rows, and a certificate scan, which visits every block,
+holds one block at a time.
 The generator with is_improving_pp is the reference semantics, and the
 tests check the scan against it.
 """
@@ -38,7 +40,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 import numpy as np
 
@@ -208,17 +210,23 @@ def is_improving_pp(instance: Instance, tour: Tour, move: KMove) -> bool:
 # (i, j, k, pattern id) for a triple, compared as tuples.  The least
 # accepted key is the first accepted move in enumeration order.
 #
-# Each candidate has a score, a sum of per-position and per-added-edge
-# terms.  Under the plain predicate the score is the gain: removed tour
-# edge costs minus added edge costs.  Under ++ it is 8 * gain - dz, where dz
-# is the change in the number of isolated vertices (length-0 1-paths).  Only
-# endpoints of removed edges change their tour edges.  Each keeps one tour
-# edge and gains one added edge, except the middle vertex of an adjacent
-# pair, which gains two; a vertex is isolated when both its tour edges cost
-# 2.  There are at most six such endpoints, so |dz| <= 6, and score >= 1
-# holds exactly when gain >= 1, or gain = 0 and dz < 0.  Position pairs
-# that no candidate removes together get a large negative term, so no
-# separate validity mask is needed.
+# Each candidate has a score.  Under the plain predicate the score is the
+# gain: removed tour edge costs minus added edge costs.  Under ++ it is
+# 8 * gain - dz, where dz is the change in the number of isolated vertices
+# (length-0 1-paths).  Only endpoints of removed edges change their tour
+# edges.  Each keeps one tour edge and gains one added edge, except the
+# middle vertex of an adjacent pair, which gains two; a vertex is isolated
+# when both its tour edges cost 2.  There are at most six such endpoints,
+# so |dz| <= 6, and score >= 1 holds exactly when gain >= 1, or gain = 0
+# and dz < 0.
+#
+# The score is a sum of added-edge terms, one n^2 table per end pair
+# (ex, ey): terms[ex, ey][x, y] is the term of the added edge joining end ex
+# of removed edge x to end ey of removed edge y > x (end 0 is t[x], end 1
+# is t[x+1]).  The term of a removed edge itself (its cost, and under ++
+# its isolated ends) is folded into the one added edge that every pair and
+# triple pattern joins to its end 0.  Position pairs that no candidate
+# removes together get a large negative term, so no validity mask is built.
 #
 # The n^2 tables are built once per call: the pair table over (i, j), and
 # for k = 3 the table over (x, y) for the single pure reconnection of the
@@ -239,21 +247,8 @@ _FIRST_BLOCK = 1 << 16
 _MAX_BLOCK = 1 << 21
 # Score term of a position pair that no candidate removes together.
 _REJECT = -1000
-
-
-class _Terms(NamedTuple):
-    """A tabulated quantity of a move as a sum of per-position terms.
-
-    The quantity of a pair or non-adjacent triple is base[x] summed over its
-    removed positions x, plus term[ex, ey][x, y] summed over its added edges,
-    where an added edge joins end ex of removed edge x to end ey of removed
-    edge y > x (end 0 is t[x], end 1 is t[x+1]).  For k = 3, adjacent[x, y]
-    is the quantity of the adjacent pair (x, x+1) plus the edge y.
-    """
-
-    base: np.ndarray
-    term: dict[tuple[int, int], np.ndarray]
-    adjacent: np.ndarray | None
+# Score term tables by the removed-edge ends (ex, ey) their added edges join.
+_Tables = dict[tuple[int, int], np.ndarray]
 
 
 def _position_costs(instance: Instance, tour: Tour) -> np.ndarray:
@@ -268,75 +263,58 @@ def _position_costs(instance: Instance, tour: Tour) -> np.ndarray:
     return instance.cost_matrix.take(o, axis=0).take(o, axis=1).astype(np.int16)
 
 
-def _end_pairs(k: int) -> tuple[tuple[int, int], ...]:
-    """The (ex, ey) terms that k-moves use: a 2-move joins like ends."""
-    return ((0, 0), (1, 1)) if k == 2 else ((0, 0), (0, 1), (1, 0), (1, 1))
+def _score_terms(
+    A: np.ndarray, k: int, plusplus: bool
+) -> tuple[_Tables, np.ndarray | None]:
+    """The score term tables, and for k = 3 the adjacent-pair table.
 
-
-def _gain_terms(A: np.ndarray, k: int) -> _Terms:
-    n = len(A) - 1
-    idx = np.arange(n)
-    E = np.diagonal(A, 1)
-    neg = {(a, b): -A[a : a + n, b : b + n] for a, b in _end_pairs(k)}
-    adjacent = None
-    if k == 3:
-        # t[x] joins t[x+2]; t[x+1] joins t[y] and t[y+1].
-        pair = E + E[(idx + 1) % n] - A[idx, (idx + 2) % n]
-        adjacent = pair[:, None] + E + neg[1, 0] + neg[1, 1]
-    return _Terms(E, neg, adjacent)
-
-
-def _dz_terms(A: np.ndarray, k: int) -> _Terms:
+    adjacent[x, y] is the score of the adjacent pair (x, x+1) plus edge y.
+    """
     n = len(A) - 1
     idx = np.arange(n)
     nxt = (idx + 1) % n
     i2 = (idx + 2) % n
-    heavy_edge = np.diagonal(A, 1) == 2
-    iso = (heavy_edge[idx - 1] & heavy_edge).astype(np.int8)
-    lost = iso + iso[nxt]
-    # keep[e][x]: the tour edge that end e of removed edge x keeps costs 2.
-    keep = (heavy_edge[idx - 1].astype(np.int8), heavy_edge[nxt].astype(np.int8))
-    heavy = {(a, b): A[a : a + n, b : b + n] == 2 for a, b in _end_pairs(k)}
-    term = {(a, b): h * (keep[a][:, None] + keep[b][None, :]) for (a, b), h in heavy.items()}
-    adjacent = None
-    if k == 3:
-        # t[x+1] keeps no tour edge: it ends isolated when both edges it
-        # gains, to t[y] and t[y+1], cost 2.
-        hy, hy1 = heavy[1, 0], heavy[1, 1]
-        pair = (A[idx, i2] == 2) * (keep[0] + keep[1][nxt]) - lost - iso[i2]
-        adjacent = pair[:, None] - lost + hy * keep[0] + hy1 * keep[1] + (hy & hy1)
-    return _Terms(-lost, term, adjacent)
+    w = 8 if plusplus else 1
+    E = np.diagonal(A, 1)
+    base = w * E
+    if plusplus:
+        heavy_edge = E == 2
+        iso = (heavy_edge[idx - 1] & heavy_edge).astype(np.int16)
+        lost = iso + iso[nxt]
+        # keep[e][x]: the tour edge that end e of removed edge x keeps costs 2.
+        keep = (heavy_edge[idx - 1].astype(np.int16), heavy_edge[nxt].astype(np.int16))
+        base += lost
+    terms = {}
+    for a, b in ((0, 0), (1, 1)) if k == 2 else ((0, 0), (0, 1), (1, 0), (1, 1)):
+        cost = A[a : a + n, b : b + n]
+        t = -w * cost
+        if plusplus:
+            t -= (cost == 2) * (keep[a][:, None] + keep[b])
+        if a == 0:
+            t += base[:, None]
+        if b == 0:
+            t += base
+        terms[a, b] = t
+    if k == 2:
+        return terms, None
+    # t[x] joins t[x+2]; t[x+1] joins t[y] and t[y+1].
+    pair = w * (E + E[nxt] - A[idx, i2])
+    if plusplus:
+        pair -= (A[idx, i2] == 2) * (keep[0] + keep[1][nxt]) - lost - iso[i2]
+    adjacent = pair[:, None] + terms[1, 0] + terms[1, 1]
+    if plusplus:
+        # The (1, ey) terms let t[x+1] keep tour edge x+1, which is removed
+        # here: t[x+1] ends isolated when both edges it gains cost 2.
+        hy, hy1 = ((A[1:, b : b + n] == 2).astype(np.int16) for b in (0, 1))
+        adjacent += (hy + hy1) * keep[1][:, None] - (hy & hy1)
+    return terms, adjacent
 
 
-def _score_terms(A: np.ndarray, k: int, plusplus: bool) -> _Terms:
-    gain = _gain_terms(A, k)
-    if not plusplus:
-        return gain
-    dz = _dz_terms(A, k)
-    return _Terms(
-        8 * gain.base - dz.base,
-        {e: 8 * t - dz.term[e] for e, t in gain.term.items()},
-        None if gain.adjacent is None else 8 * gain.adjacent - dz.adjacent,
-    )
-
-
-def _pair_table(t: _Terms) -> np.ndarray:
-    return t.base[:, None] + t.base[None, :] + t.term[0, 0] + t.term[1, 1]
-
-
-def _triple_terms(t: _Terms) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Per pattern, the terms over (i, j), (i, k) and (j, k) of its triple table."""
-    bb = t.base[:, None] + t.base[None, :]
-    out = []
-    for ends in _PATTERN_ENDS:
-        ij, ik, jk = (t.term[e] for e in ends)
-        out.append((bb + ij, ik, jk + t.base))
-    return out
-
-
-def _triple_block(terms: tuple[np.ndarray, ...], lo: int, hi: int) -> np.ndarray:
-    """Rows lo <= i < hi of one pattern's triple table."""
-    ij, ik, jk = terms
+def _triple_block(
+    terms: _Tables, ends: tuple[tuple[int, int], ...], lo: int, hi: int
+) -> np.ndarray:
+    """Rows lo <= i < hi of the triple table of one pattern's ends."""
+    ij, ik, jk = (terms[e] for e in ends)
     out = ij[lo:hi, :, None] + ik[lo:hi, None, :]
     out += jk
     return out
@@ -376,33 +354,33 @@ def _first_accepted(score: np.ndarray) -> int | None:
 def _least_key(instance: Instance, tour: Tour, k: int, plusplus: bool) -> tuple | None:
     """Least accepted scan key, or None when no move is accepted."""
     n = instance.n
-    t = _score_terms(_position_costs(instance, tour), k, plusplus)
+    terms, adjacent = _score_terms(_position_costs(instance, tour), k, plusplus)
     # Removed positions x < y must be at least two apart on the cycle;
     # entries with x >= y name no candidate.
     idx = np.arange(n)
     reject = np.where(np.less_equal.outer(idx, idx - 2), np.int16(0), np.int16(_REJECT))
     reject[0, n - 1] = _REJECT
-    t = t._replace(term={e: m + reject for e, m in t.term.items()})
+    for t in terms.values():
+        t += reject
     del reject
-    flat = _first_accepted(_pair_table(t))
+    flat = _first_accepted(terms[0, 0] + terms[1, 1])
     best = None if flat is None else (flat // n, flat % n)
     if k == 2:
         return best
     # The adjacent pair (x, x+1) needs y + 1 <= x - 1 or y >= x + 3 (cyclically).
-    t.adjacent[idx[:, None], (idx[:, None] + (-1, 0, 1, 2)) % n] = _REJECT
-    x, y = np.nonzero(t.adjacent >= 1)
+    adjacent[idx[:, None], (idx[:, None] + (-1, 0, 1, 2)) % n] = _REJECT
+    x, y = np.nonzero(adjacent >= 1)
     if x.size:
         i, j, kk, pid = _adjacent_keys(n, x, y)
         e = int(np.argmin((i * n + j) * n + kk))
         key = (int(i[e]), int(j[e]), int(kk[e]), int(pid[e]))
         best = key if best is None or key < best else best
-    triple_terms = _triple_terms(t)
     for lo, hi in _row_blocks(n):
         if best is not None and lo > best[0]:
             break
         found = None
-        for pid, terms in enumerate(triple_terms, 1):
-            flat = _first_accepted(_triple_block(terms, lo, hi))
+        for pid, ends in enumerate(_PATTERN_ENDS, 1):
+            flat = _first_accepted(_triple_block(terms, ends, lo, hi))
             if flat is not None and (found is None or flat < found[0]):
                 found = (flat, pid)
         if found is not None:

@@ -14,10 +14,21 @@ from kopt12 import (
     Tour,
     WrongLengthError,
     canonical_edge,
+    certify_k_optimal,
+    certify_kpp_optimal,
+    check_counter_properties,
     cost_edge,
+    count_zero_paths,
     cycle_from_edges,
+    distribute_counters,
+    endpoint_pair_violations,
+    find_forbidden_constellation,
+    find_improving,
     identity_tour,
+    local_search,
     one_path_decomposition,
+    pp_path_checks,
+    ratio_report,
     tour_cost,
     validate_tour,
 )
@@ -98,6 +109,46 @@ class TestTourValidation:
 
     def test_accepts_permutation(self, hexa):
         validate_tour(hexa, Tour((5, 3, 1, 0, 2, 4)))
+
+
+# One bad tour on the six-vertex hexa instance per validation failure.
+_BAD_TOURS = {
+    WrongLengthError: Tour((0, 1, 2)),
+    DuplicateVertexError: Tour((0, 1, 2, 3, 4, 4)),
+    MissingVertexError: Tour((0, 1, 2, 3, 4, 9)),
+}
+
+
+def _ledger(instance):
+    return distribute_counters(instance, identity_tour(6), Tour((0, 1, 5, 4, 3, 2)))
+
+
+# Each public function that takes a tour, called with the bad tour t in one
+# tour argument and valid values everywhere else.
+_TOUR_TAKERS = {
+    "find_improving": lambda i, t: find_improving(i, t, 3),
+    "local_search": lambda i, t: local_search(i, start=t),
+    "certify_k_optimal": lambda i, t: certify_k_optimal(i, t, 3),
+    "certify_kpp_optimal": lambda i, t: certify_kpp_optimal(i, t, 3),
+    "count_zero_paths": count_zero_paths,
+    "tour_cost": tour_cost,
+    "one_path_decomposition": one_path_decomposition,
+    "distribute_counters": lambda i, t: distribute_counters(i, t, identity_tour(6)),
+    "distribute_counters_optimal": lambda i, t: distribute_counters(i, identity_tour(6), t),
+    "check_counter_properties": lambda i, t: check_counter_properties(i, t, _ledger(i)),
+    "pp_path_checks": lambda i, t: pp_path_checks(i, t, _ledger(i)),
+    "find_forbidden_constellation": find_forbidden_constellation,
+    "endpoint_pair_violations": endpoint_pair_violations,
+    "ratio_report": lambda i, t: ratio_report(i, t, identity_tour(6)),
+    "ratio_report_reference": lambda i, t: ratio_report(i, identity_tour(6), t),
+}
+
+
+@pytest.mark.parametrize("error", list(_BAD_TOURS), ids=lambda e: e.__name__)
+@pytest.mark.parametrize("call", list(_TOUR_TAKERS))
+def test_public_functions_reject_bad_tours(hexa, call, error):
+    with pytest.raises(error):
+        _TOUR_TAKERS[call](hexa, _BAD_TOURS[error])
 
 
 def test_tour_edges_are_canonical():

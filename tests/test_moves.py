@@ -42,13 +42,12 @@ from kopt12 import (
 )
 from kopt12 import moves
 from kopt12.moves import (
+    _PATTERN_ENDS,
     _adjacent_keys,
-    _dz_terms,
     _move_from_key,
-    _pair_table,
     _position_costs,
+    _score_terms,
     _triple_block,
-    _triple_terms,
 )
 
 from conftest import instance_tour_pairs
@@ -350,12 +349,12 @@ def test_pp_scan_matches_enumeration_on_merging_family():
     _assert_scan_matches_along_descent(instance, perturbed, 3)
 
 
-def _dz_by_key(instance, tour):
-    """Tabulated zero-path change of every k=3 candidate, by scan key."""
+def _score_by_key(instance, tour, plusplus):
+    """Tabulated score of every k=3 candidate, by scan key."""
     n = instance.n
-    dz = _dz_terms(_position_costs(instance, tour), 3)
-    pair = _pair_table(dz)
-    patterns = [_triple_block(terms, 0, n) for terms in _triple_terms(dz)]
+    terms, adjacent = _score_terms(_position_costs(instance, tour), 3, plusplus)
+    pair = terms[0, 0] + terms[1, 1]
+    patterns = [_triple_block(terms, ends, 0, n) for ends in _PATTERN_ENDS]
     out = {}
     for i in range(n):
         for j in range(i + 2, n):
@@ -371,8 +370,18 @@ def _dz_by_key(instance, tour):
         for y in range(n):
             if 3 <= (y - x) % n <= n - 2:
                 key = tuple(int(v) for v in _adjacent_keys(n, x, y))
-                out[key] = int(dz.adjacent[x, y])
+                out[key] = int(adjacent[x, y])
     return out
+
+
+def _dz_by_key(instance, tour):
+    """Tabulated (zero-path change, gain) of every k=3 candidate, by scan key.
+
+    The plain score is the gain and the ++ score is 8 * gain - dz.
+    """
+    plain = _score_by_key(instance, tour, False)
+    pp = _score_by_key(instance, tour, True)
+    return {key: (8 * gain - pp[key], gain) for key, gain in plain.items()}
 
 
 def _isolated(instance, tour):
@@ -395,9 +404,10 @@ def test_dz_tables_match_tour_rebuild():
         before = _isolated(instance, tour)
         assert len(before) == count_zero_paths(instance, tour)
         moves = set()
-        for key, value in _dz_by_key(instance, tour).items():
+        for key, (value, gain) in _dz_by_key(instance, tour).items():
             mv = _move_from_key(tour, key)
             moves.add((mv.removed, mv.added))
+            assert gain == move_gain(instance, tour, mv), key
             after_tour = apply_move(tour, mv)
             assert value == count_zero_paths(instance, after_tour) - len(before), key
             if len(key) == 2 or value == 0:
