@@ -23,6 +23,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import groupby
 
 from .core import (
@@ -33,7 +34,6 @@ from .core import (
     canonical_edge,
     one_path_decomposition,
     tour_cost,
-    validate_tour,
 )
 from .errors import InvalidArgumentError
 
@@ -55,14 +55,28 @@ class Counter:
 
 @dataclass(frozen=True)
 class CounterLedger:
-    """All counters for one (tour, reference) pair plus the edge tallies."""
+    """Counters and edge tallies of one tour against a reference, with its 1-paths."""
 
     counters: tuple[Counter, ...]
     h: int
     l: int
     f: int
+    tour: Tour
     optimal_tour: Tour
     decomposition: PathDecomposition
+
+    @cached_property
+    def held(self) -> _Held:
+        """The counters held at each vertex that holds any."""
+        at: _Held = defaultdict(list)
+        for ctr in self.counters:
+            at[ctr.at].append(ctr)
+        return dict(at)
+
+    @cached_property
+    def good_holders(self) -> frozenset[int]:
+        """The vertices holding a good counter."""
+        return frozenset(ctr.at for ctr in self.counters if ctr.kind == "good")
 
     @property
     def good_total(self) -> int:
@@ -138,10 +152,9 @@ class RatioReport:
     bound_pp: Fraction
 
 
-# Counters by holding vertex, tour neighbours by vertex, 1-path vertex sequences.
+# Counters by holding vertex, tour neighbours by vertex.
 _Held = dict[int, list[Counter]]
 _Nbrs = dict[int, tuple[int, int]]
-_Paths = tuple[tuple[int, ...], ...]
 
 
 def _neighbours(tour: Tour) -> _Nbrs:
@@ -170,26 +183,18 @@ def distribute_counters(instance: Instance, tour: Tour, optimal_tour: Tour) -> C
         h=instance.n - l,
         l=l,
         f=f,
+        tour=tour,
         optimal_tour=optimal_tour,
         decomposition=dec,
     )
 
 
-def _counter_index(ledger: CounterLedger) -> tuple[_Held, set[int]]:
-    """The counters held at each vertex, and the vertices holding a good one."""
-    at: _Held = defaultdict(list)
-    for ctr in ledger.counters:
-        at[ctr.at].append(ctr)
-    good_at = {v for v, cs in at.items() if any(x.kind == "good" for x in cs)}
-    return dict(at), good_at
-
-
-def _property_1(at: _Held) -> tuple | None:
+def _property_1(ledger: CounterLedger) -> tuple | None:
     """Counters arrive at a vertex via at most two reference edges, and each
     via group is two goods or one bad."""
-    for v in sorted(at):
+    for v, ctrs in sorted(ledger.held.items()):
         groups: dict[Edge, list[str]] = defaultdict(list)
-        for ctr in at[v]:
+        for ctr in ctrs:
             groups[ctr.via_edge].append(ctr.kind)
         if len(groups) > 2:
             return (v,)
@@ -199,49 +204,47 @@ def _property_1(at: _Held) -> tuple | None:
     return None
 
 
-def _property_2(tnbr: _Nbrs, at: _Held, good_at: set[int]) -> tuple | None:
+def _property_2(ledger: CounterLedger, tnbr: _Nbrs) -> tuple | None:
     """Two vertices holding good counters are never tour neighbours, and no
     common tour neighbour holds any counter."""
-    goods = sorted(good_at)
+    goods = sorted(ledger.good_holders)
     for ia, a in enumerate(goods):
         for b in goods[ia + 1 :]:
             if b in tnbr[a]:
                 return (a, b)
             for w in sorted(set(tnbr[a]) & set(tnbr[b])):
-                if w in at:
+                if w in ledger.held:
                     return (a, w, b)
     return None
 
 
-def _property_3(paths: _Paths, at: _Held) -> tuple | None:
+def _property_3(ledger: CounterLedger) -> tuple | None:
     """Vertices forming a length-0 1-path hold no counters; endpoints of
     longer 1-paths hold no good and at most one bad."""
-    for pid, path in enumerate(paths):
+    for pid, path in enumerate(ledger.decomposition.paths):
         allowed = 0 if len(path) == 1 else 1
         for v in sorted({path[0], path[-1]}):
-            kinds = [x.kind for x in at.get(v, ())]
+            kinds = [x.kind for x in ledger.held.get(v, ())]
             if "good" in kinds or len(kinds) > allowed:
                 return (pid, v)
     return None
 
 
-def _property_4(
-    instance: Instance, paths: _Paths, tnbr: _Nbrs, at: _Held, good_at: set[int]
-) -> tuple | None:
+def _property_4(instance: Instance, ledger: CounterLedger, tnbr: _Nbrs) -> tuple | None:
     """An endpoint holding a counter has no cost-1 tour neighbour that
     holds a good counter."""
     c = instance.cost_matrix
-    for path in paths:
-        for p in sorted({path[0], path[-1]} & at.keys()):
+    for path in ledger.decomposition.paths:
+        for p in sorted({path[0], path[-1]} & ledger.held.keys()):
             for w in sorted(tnbr[p]):
-                if c[p, w] == 1 and w in good_at:
+                if c[p, w] == 1 and w in ledger.good_holders:
                     return (p, w)
     return None
 
 
-def _property_5(counters: tuple[Counter, ...]) -> tuple | None:
+def _property_5(ledger: CounterLedger) -> tuple | None:
     """A 1-path emits at most four bad counters."""
-    bad = sorted(ctr.source_path for ctr in counters if ctr.kind == "bad")
+    bad = sorted(ctr.source_path for ctr in ledger.counters if ctr.kind == "bad")
     for pid, group in groupby(bad):
         emitted = len(list(group))
         if emitted > 4:
@@ -249,25 +252,20 @@ def _property_5(counters: tuple[Counter, ...]) -> tuple | None:
     return None
 
 
-def check_counter_properties(
-    instance: Instance, tour: Tour, ledger: CounterLedger
-) -> PropertyReport:
-    """Evaluate the five structural placement properties.
+def check_counter_properties(instance: Instance, ledger: CounterLedger) -> PropertyReport:
+    """Evaluate the five structural placement properties of ledger.tour.
 
     Properties 1 and 5 hold by construction of the placement; 2, 3 and 4
     are consequences of 3-optimality and may fail on other tours.  Each
     failed check carries the smallest offending witness found.
     """
-    validate_tour(instance, tour)
-    at, good_at = _counter_index(ledger)
-    tnbr = _neighbours(tour)
-    paths = ledger.decomposition.paths
+    tnbr = _neighbours(ledger.tour)
     witnesses = (
-        _property_1(at),
-        _property_2(tnbr, at, good_at),
-        _property_3(paths, at),
-        _property_4(instance, paths, tnbr, at, good_at),
-        _property_5(ledger.counters),
+        _property_1(ledger),
+        _property_2(ledger, tnbr),
+        _property_3(ledger),
+        _property_4(instance, ledger, tnbr),
+        _property_5(ledger),
     )
     return PropertyReport(tuple(PropertyCheck(w is None, w) for w in witnesses))
 
@@ -337,19 +335,17 @@ BOUND_PLAIN = ratio_upper_bound(Fraction(12, 5))
 BOUND_PP = ratio_upper_bound(2)
 
 
-def pp_path_checks(instance: Instance, tour: Tour, ledger: CounterLedger) -> PathCheckReport:
+def pp_path_checks(ledger: CounterLedger) -> PathCheckReport:
     """Per-path counter limits that hold under the merging predicate.
 
-    A 1-path whose vertices hold a good counter must have exactly two
-    edges, and a 1-path with x edges holds at most 2x counters in total.
+    A 1-path of ledger.tour whose vertices hold a good counter must have
+    exactly two edges, and one with x edges holds at most 2x counters.
     """
-    validate_tour(instance, tour)
-    at, good_at = _counter_index(ledger)
     violations: list[PathViolation] = []
     for pid, path in enumerate(ledger.decomposition.paths):
         x = len(path) - 1
-        carried = sum(len(at.get(v, ())) for v in path)
-        if any(v in good_at for v in path) and x != 2:
+        carried = sum(len(ledger.held.get(v, ())) for v in path)
+        if any(v in ledger.good_holders for v in path) and x != 2:
             violations.append(PathViolation("good-path-length", pid, (x,)))
         if carried > 2 * x:
             violations.append(PathViolation("path-capacity", pid, (carried, 2 * x)))

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Instance, Tour, canonical_edge, one_path_decomposition, validate_tour
+from .core import Instance, PathDecomposition, Tour, canonical_edge, validate_tour
 from .errors import InvalidArgumentError
 from .moves import KMove, _require_enumerable, find_improving
 
@@ -100,9 +100,8 @@ def find_forbidden_constellation(
     return None
 
 
-def endpoint_pair_violations(instance: Instance, tour: Tour) -> list[tuple[int, int]]:
-    """Cost-1 pairs of endpoints taken from two different 1-paths, sorted."""
-    dec = one_path_decomposition(instance, tour)
+def endpoint_pair_violations(instance: Instance, dec: PathDecomposition) -> list[tuple[int, int]]:
+    """Cost-1 pairs of endpoints taken from two different 1-paths of dec, sorted."""
     if dec.whole_cycle or len(dec.paths) < 2:
         return []
     c = instance.cost_matrix

@@ -102,7 +102,7 @@ def structural_checks(
     its per-path counter limits and the tighter 2h counter budget.
     """
     ledger = distribute_counters(instance, tour, optimal_tour)
-    report = check_counter_properties(instance, tour, ledger)
+    report = check_counter_properties(instance, ledger)
     if not report.all_pass:
         bad = next(i for i in range(1, 6) if not report.check(i).passed)
         return False, f"property-{bad}"
@@ -110,10 +110,10 @@ def structural_checks(
         return False, "count-bound"
     if find_forbidden_constellation(instance, tour) is not None:
         return False, "forbidden-constellation"
-    if endpoint_pair_violations(instance, tour):
+    if endpoint_pair_violations(instance, ledger.decomposition):
         return False, "endpoint-pair"
     if predicate == "pp":
-        if not pp_path_checks(instance, tour, ledger).passed:
+        if not pp_path_checks(ledger).passed:
             return False, "pp-path-limit"
         if ledger.total > 2 * ledger.h:
             return False, "pp-count-bound"
@@ -328,7 +328,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         limit = HELD_KARP_LIMIT if args.limit is None else args.limit
         reference = held_karp(instance, limit).tour
     ledger = distribute_counters(instance, tour, reference)
-    report = check_counter_properties(instance, tour, ledger)
+    report = check_counter_properties(instance, ledger)
     ratios = ratio_report(instance, tour, reference)
     lines = [
         f"h={ledger.h}",
@@ -454,13 +454,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify_lemmas)
 
     p = sub.add_parser("sweep", help="random-instance grid vs exact optima")
-    p.add_argument("--n-min", type=int, default=6)
-    p.add_argument("--n-max", type=int, default=13)
-    p.add_argument("--per-cell", type=int, default=21)
-    p.add_argument("--p", type=float, nargs="+", default=[0.3, 0.5, 0.7])
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--limit", type=int, default=HELD_KARP_LIMIT)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--n-min", type=int, default=SweepConfig.n_min)
+    p.add_argument("--n-max", type=int, default=SweepConfig.n_max)
+    p.add_argument("--per-cell", type=int, default=SweepConfig.per_cell)
+    p.add_argument("--p", type=float, nargs="+", default=SweepConfig.p_values)
+    p.add_argument("--seed", type=int, default=SweepConfig.seed)
+    p.add_argument("--limit", type=int, default=SweepConfig.limit)
+    p.add_argument("--workers", type=int, default=SweepConfig.workers)
     p.add_argument("--report")
     p.set_defaults(func=_cmd_sweep)
 

@@ -8,7 +8,9 @@ never silently hand out a miscosted family.
 Vertex labels live on a cycle.  The two-opt family is a ring plus chords;
 the three-opt and merging families are unions of shifted copies of a fixed
 template block of 8 and 6 vertices.  FAMILIES names the three families and
-records, for each, its size parameter, generator and block period.
+records, for each, its size parameter, generator and block period.  Each
+generator checks the size of the cost matrix before it builds any edge, so
+an oversize member is refused at once.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .core import (
     Instance,
     Tour,
     canonical_edge,
+    check_dense_size,
     cycle_from_edges,
     identity_tour,
     tour_cost,
@@ -119,6 +122,7 @@ def gen_two_opt_lb(n: int) -> FamilyOutput:
     """
     if n < 7:
         raise InvalidArgumentError(f"two-opt family needs n >= 7, got {n}")
+    check_dense_size(n)
     edges = {canonical_edge(i, i + 1) for i in range(n - 1)}
     edges.add(canonical_edge(0, n - 1))
     edges.update(canonical_edge(i, i + 2) for i in range(0, n - 2, 2))
@@ -168,6 +172,7 @@ def gen_three_opt_lb(s: int) -> FamilyOutput:
     if s < 3:
         raise InvalidArgumentError(f"three-opt family needs s >= 3, got {s}")
     n = 8 * s
+    check_dense_size(n)
     inst = Instance(n, _template_edges(n, s, 8, _THREE_OPT_TEMPLATE))
     return _checked(
         FamilyOutput(
@@ -190,6 +195,7 @@ def gen_three_opt_pp_lb(s: int) -> FamilyOutput:
     if s < 2:
         raise InvalidArgumentError(f"merging family needs s >= 2, got {s}")
     n = 6 * s
+    check_dense_size(n)
     inst = Instance(n, _template_edges(n, s, 6, _PP_TEMPLATE))
     reference = _cycle(_template_edges(n, 3 * s, 2, ((0, 1), (0, 3))))
     return _checked(
@@ -262,6 +268,7 @@ def random_instance(n: int, p: float, seed: int) -> Instance:
         raise InvalidArgumentError(f"need n >= {MIN_N}, got {n}")
     if not 0.0 <= p <= 1.0:
         raise InvalidArgumentError(f"edge probability must be in [0, 1], got {p}")
+    check_dense_size(n)
     rng = random.Random(seed)
     edges = frozenset(
         (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p

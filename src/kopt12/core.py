@@ -5,6 +5,10 @@ An instance on n vertices is the complete graph where every edge costs 1 or
 absent pair costs 2.  Tours are cyclic vertex orders.  Deleting the cost-2
 edges of a tour leaves its 1-paths: maximal tour segments made of cost-1
 edges (an isolated vertex is a 1-path of length 0).
+
+A Tour is a permutation of 0..n-1 by construction, so functions given an
+instance and a tour only check that both have the same n.  Dense n-by-n
+tables over DENSE_MAX_BYTES are refused before they are allocated.
 """
 
 from __future__ import annotations
@@ -20,10 +24,14 @@ from .errors import (
     DuplicateVertexError,
     InvalidArgumentError,
     MissingVertexError,
+    SizeExceededError,
     WrongLengthError,
 )
 
 MIN_N = 3
+# Bytes any dense n-by-n table may take; the uint8 cost matrix reaches it at
+# n = 32768.
+DENSE_MAX_BYTES = 1 << 30
 
 Edge = tuple[int, int]
 
@@ -33,12 +41,27 @@ def canonical_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
+def check_dense_size(n: int, bytes_per_entry: int = 1, what: str = "the cost matrix") -> None:
+    """Raise SizeExceededError when n-by-n tables of bytes_per_entry bytes
+    per entry would pass DENSE_MAX_BYTES; call it before allocating.
+
+    The defaults describe the uint8 cost matrix of an n-vertex instance.
+    """
+    need = n * n * bytes_per_entry
+    if need > DENSE_MAX_BYTES:
+        raise SizeExceededError(
+            f"{what} on {n} vertices needs about {need / 2**30:.1f} GiB, "
+            f"over the {DENSE_MAX_BYTES / 2**30:.0f} GiB cap on dense tables"
+        )
+
+
 @dataclass(frozen=True)
 class Instance:
     """A (1,2)-TSP instance: n vertices plus the set of cost-1 edges.
 
     cost1 must contain canonical in-range pairs; use from_pairs to build an
-    instance from raw edge data.
+    instance from raw edge data.  An instance whose cost matrix would pass
+    DENSE_MAX_BYTES is refused.
     """
 
     n: int
@@ -47,6 +70,7 @@ class Instance:
     def __post_init__(self) -> None:
         if self.n < MIN_N:
             raise InvalidArgumentError(f"need at least {MIN_N} vertices, got {self.n}")
+        check_dense_size(self.n)
         for u, v in self.cost1:
             if not (0 <= u < v < self.n):
                 raise InvalidArgumentError(f"edge ({u},{v}) is not canonical for n={self.n}")
@@ -96,13 +120,24 @@ def cost_edge(instance: Instance, u: int, v: int) -> int:
 
 @dataclass(frozen=True)
 class Tour:
-    """A cyclic vertex order; edge i joins order[i] and order[(i+1) % n]."""
+    """A cyclic vertex order; edge i joins order[i] and order[(i+1) % n].
+    Building one from an order that is no permutation of 0..n-1 raises."""
 
     order: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.order, tuple):
-            object.__setattr__(self, "order", tuple(self.order))
+        o = tuple(self.order)
+        object.__setattr__(self, "order", o)
+        if not o or (len(set(o)) == len(o) and min(o) == 0 and max(o) == len(o) - 1):
+            return
+        seen: set[int] = set()
+        for v in o:
+            if v in seen:
+                raise DuplicateVertexError(f"vertex {v} appears more than once")
+            seen.add(v)
+        want = set(range(len(o)))
+        missing, foreign = sorted(want - seen), sorted(seen - want)
+        raise MissingVertexError(f"missing vertices {missing}, out-of-range entries {foreign}")
 
     @property
     def n(self) -> int:
@@ -149,20 +184,9 @@ def cycle_from_edges(edges: Iterable[Edge]) -> tuple[int, ...]:
 
 
 def validate_tour(instance: Instance, tour: Tour) -> None:
-    """Raise unless the tour order is a permutation of 0..n-1."""
-    order = tour.order
-    n = instance.n
-    if len(order) != n:
-        raise WrongLengthError(f"tour has {len(order)} entries, expected {n}")
-    seen: set[int] = set()
-    for v in order:
-        if v in seen:
-            raise DuplicateVertexError(f"vertex {v} appears more than once")
-        seen.add(v)
-    if seen != set(range(n)):
-        missing = sorted(set(range(n)) - seen)
-        foreign = sorted(seen - set(range(n)))
-        raise MissingVertexError(f"missing vertices {missing}, out-of-range entries {foreign}")
+    """Raise WrongLengthError unless the tour (a permutation) has instance.n entries."""
+    if tour.n != instance.n:
+        raise WrongLengthError(f"tour has {tour.n} entries, expected {instance.n}")
 
 
 def tour_cost(instance: Instance, tour: Tour) -> int:

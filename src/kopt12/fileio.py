@@ -9,7 +9,7 @@ Instance files:
 Tour files:
 
     tour <n>
-    <n whitespace-separated vertex ids>
+    <n whitespace-separated vertex ids, a permutation of 0..n-1>
 
 Blank lines and lines starting with '#' are ignored.  Duplicate edge lines
 are rejected so a file round-trips to exactly one instance.

@@ -49,6 +49,7 @@ from .core import (
     Instance,
     Tour,
     canonical_edge,
+    check_dense_size,
     cost_edge,
     cycle_from_edges,
     identity_tour,
@@ -249,6 +250,11 @@ _MAX_BLOCK = 1 << 21
 _REJECT = -1000
 # Score term tables by the removed-edge ends (ex, ey) their added edges join.
 _Tables = dict[tuple[int, int], np.ndarray]
+# Peak bytes of one scan per n^2 entry, by k, rounded up from tracemalloc
+# at n = 400 and 800: 7 (plain) and 9.3 (++) for k = 2; 16 to 34 for k = 3
+# on random tours, and 66 when nearly every adjacent-pair entry is accepted,
+# so np.nonzero returns two int64 positions per entry.
+_SCAN_BYTES_PER_ENTRY = {2: 10, 3: 72}
 
 
 def _position_costs(instance: Instance, tour: Tour) -> np.ndarray:
@@ -412,6 +418,7 @@ def find_improving(
     """
     validate_tour(instance, tour)
     _require_enumerable(instance.n, k)
+    check_dense_size(instance.n, _SCAN_BYTES_PER_ENTRY[k], f"the {k}-move scan")
     key = _least_key(instance, tour, k, plusplus)
     if key is None:
         return None

@@ -193,7 +193,7 @@ def test_criterion_6_counter_machinery(sweep_outcome, hexa, hexa_tour, hexa_opti
         r = bad[0]
         problems.append(f"checks failed at n={r.n} p={r.p} i={r.index}: {r.detail}")
     ledger = distribute_counters(hexa, hexa_tour, hexa_optimal)
-    report = check_counter_properties(hexa, hexa_tour, ledger)
+    report = check_counter_properties(hexa, ledger)
     if report.check(4).passed:
         problems.append("property 4 unexpectedly passes on the hexa fixture")
     cert = certify_k_optimal(hexa, hexa_tour, k=3)

@@ -50,7 +50,7 @@ def test_hexa_ledger_frozen(hexa, hexa_tour, hexa_optimal):
 
 def test_hexa_property_report(hexa, hexa_tour, hexa_optimal):
     ledger = distribute_counters(hexa, hexa_tour, hexa_optimal)
-    report = check_counter_properties(hexa, hexa_tour, ledger)
+    report = check_counter_properties(hexa, ledger)
     assert [report.check(i).passed for i in range(1, 6)] == [
         True,
         True,
@@ -76,6 +76,7 @@ def test_count_bound_fails_on_overfull_ledger():
         h=1,
         l=4,
         f=0,
+        tour=identity_tour(5),
         optimal_tour=identity_tour(5),
         decomposition=one_path_decomposition(Instance(5, frozenset()), identity_tour(5)),
     )
@@ -87,7 +88,7 @@ def test_whole_cycle_tour_gets_no_counters():
     ledger = distribute_counters(ring, identity_tour(5), identity_tour(5))
     assert ledger.counters == ()
     assert (ledger.h, ledger.l, ledger.f) == (5, 0, 0)
-    report = check_counter_properties(ring, identity_tour(5), ledger)
+    report = check_counter_properties(ring, ledger)
     assert report.all_pass
 
 
@@ -136,7 +137,7 @@ def test_ratio_upper_bound_values():
 
 def test_pp_path_checks_flags_hexa(hexa, hexa_tour, hexa_optimal):
     ledger = distribute_counters(hexa, hexa_tour, hexa_optimal)
-    report = pp_path_checks(hexa, hexa_tour, ledger)
+    report = pp_path_checks(ledger)
     assert not report.passed
     kinds = {(v.kind, v.path_index) for v in report.violations}
     assert ("good-path-length", 1) in kinds
@@ -145,7 +146,7 @@ def test_pp_path_checks_flags_hexa(hexa, hexa_tour, hexa_optimal):
 def test_pp_path_checks_pass_on_merging_family():
     fam = gen_three_opt_pp_lb(2)
     ledger = distribute_counters(fam.instance, fam.tour, fam.reference_tour)
-    assert pp_path_checks(fam.instance, fam.tour, ledger).passed
+    assert pp_path_checks(ledger).passed
     assert ledger.total <= 2 * ledger.h
 
 
@@ -155,7 +156,7 @@ def test_merging_family_ledger_is_all_bad():
     ledger = distribute_counters(fam.instance, fam.tour, fam.reference_tour)
     assert (ledger.total, ledger.good_total, ledger.bad_total) == (16, 0, 16)
     assert ledger.h == 8
-    report = check_counter_properties(fam.instance, fam.tour, ledger)
+    report = check_counter_properties(fam.instance, ledger)
     assert report.all_pass
 
 
@@ -185,13 +186,13 @@ def test_certified_tours_satisfy_all_properties(seed):
     for plusplus in (False, True):
         tour, stats = local_search(instance, k=3, plusplus=plusplus)
         ledger = distribute_counters(instance, tour, optimum.tour)
-        report = check_counter_properties(instance, tour, ledger)
+        report = check_counter_properties(instance, ledger)
         assert report.all_pass
         assert count_bound_check(ledger)
         bound = Fraction(4, 3) if plusplus else Fraction(11, 8)
         assert Fraction(stats.final_cost, optimum.cost) <= bound
         if plusplus:
-            assert pp_path_checks(instance, tour, ledger).passed
+            assert pp_path_checks(ledger).passed
             assert ledger.total <= 2 * ledger.h
 
 
@@ -200,7 +201,7 @@ def test_distribute_validates_tours(hexa):
         distribute_counters(hexa, Tour((0, 1, 2)), identity_tour(6))
 
 
-def _one_path_ledger(counters) -> tuple[Instance, Tour, CounterLedger]:
+def _one_path_ledger(counters) -> tuple[Instance, CounterLedger]:
     """A hand-built ledger on n=8 whose tour is one 1-path of seven edges."""
     pairs = [(v, v + 1) for v in range(7)]
     instance = Instance.from_pairs(8, pairs)
@@ -210,33 +211,34 @@ def _one_path_ledger(counters) -> tuple[Instance, Tour, CounterLedger]:
         h=7,
         l=1,
         f=0,
+        tour=tour,
         optimal_tour=tour,
         decomposition=one_path_decomposition(instance, tour),
     )
-    return instance, tour, ledger
+    return instance, ledger
 
 
 def test_property_1_fails_on_three_via_edges():
-    instance, tour, ledger = _one_path_ledger(
+    instance, ledger = _one_path_ledger(
         Counter("bad", 3, 0, canonical_edge(3, w)) for w in (0, 5, 6)
     )
-    assert check_counter_properties(instance, tour, ledger).check(1) == PropertyCheck(
+    assert check_counter_properties(instance, ledger).check(1) == PropertyCheck(
         False, (3,)
     )
 
 
 def test_property_1_fails_on_single_good_counter():
-    instance, tour, ledger = _one_path_ledger([Counter("good", 3, 0, (3, 6))])
-    assert check_counter_properties(instance, tour, ledger).check(1) == PropertyCheck(
+    instance, ledger = _one_path_ledger([Counter("good", 3, 0, (3, 6))])
+    assert check_counter_properties(instance, ledger).check(1) == PropertyCheck(
         False, (3, (3, 6))
     )
 
 
 def test_property_5_fails_on_five_bad_counters_from_one_path():
-    instance, tour, ledger = _one_path_ledger(
+    instance, ledger = _one_path_ledger(
         Counter("bad", v, 0, (0, v)) for v in (2, 3, 4, 5, 6)
     )
-    report = check_counter_properties(instance, tour, ledger)
+    report = check_counter_properties(instance, ledger)
     assert report.check(5) == PropertyCheck(False, (0, 5))
     assert report.check(1).passed
 
@@ -260,14 +262,14 @@ def test_analysis_golden_digest():
         if trial % 3 == 0:
             tour, _ = local_search(instance, start=tour, k=3, plusplus=trial % 2 == 0)
         ledger = distribute_counters(instance, tour, reference)
-        report = check_counter_properties(instance, tour, ledger)
+        report = check_counter_properties(instance, ledger)
         for i, check in enumerate(report.checks, 1):
             fails[i] += not check.passed
         record = (
             (ledger.h, ledger.l, ledger.f, ledger.total, ledger.good_total, ledger.bad_total),
             ledger.counters,
             report,
-            pp_path_checks(instance, tour, ledger),
+            pp_path_checks(ledger),
             ratio_report(instance, tour, reference),
         )
         digest.update(repr(record).encode())

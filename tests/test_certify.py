@@ -19,6 +19,7 @@ from kopt12 import (
     identity_tour,
     local_search,
     neighborhood_size,
+    one_path_decomposition,
     tour_cost,
 )
 
@@ -72,11 +73,15 @@ def test_merge_descent_under_pp_ends_pp_optimal(merge_instance):
     assert stats.final_zero_paths < 2
 
 
+def _endpoint_pairs(instance, tour):
+    return endpoint_pair_violations(instance, one_path_decomposition(instance, tour))
+
+
 def test_endpoint_pair_scan(endpoint_instance, merge_instance, hexa):
     tour8 = identity_tour(8)
-    assert endpoint_pair_violations(endpoint_instance, tour8) == [(2, 4)]
-    assert endpoint_pair_violations(merge_instance, tour8) == []
-    assert endpoint_pair_violations(hexa, identity_tour(6)) == []
+    assert _endpoint_pairs(endpoint_instance, tour8) == [(2, 4)]
+    assert _endpoint_pairs(merge_instance, tour8) == []
+    assert _endpoint_pairs(hexa, identity_tour(6)) == []
 
 
 def test_endpoint_pair_implies_improving_move(endpoint_instance):
@@ -116,4 +121,4 @@ def test_certified_tours_have_clean_structure(seed):
     for plusplus in (False, True):
         tour, _ = local_search(instance, k=3, plusplus=plusplus)
         assert find_forbidden_constellation(instance, tour) is None
-        assert endpoint_pair_violations(instance, tour) == []
+        assert _endpoint_pairs(instance, tour) == []

@@ -5,11 +5,12 @@ from __future__ import annotations
 import hashlib
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from kopt12 import SweepConfig, read_instance, read_tour, run_sweep, tour_cost
+from kopt12 import SweepConfig, SweepResult, read_instance, read_tour, run_sweep, tour_cost
 from kopt12 import cli
 from kopt12.cli import main
 
@@ -212,6 +213,44 @@ class TestExact:
         assert peak < 1 << 20
 
 
+class TestDenseCap:
+    """Dense tables over the byte cap end in exit 2 before they are allocated."""
+
+    @staticmethod
+    def refused(capsys, argv: list[str]) -> str:
+        tracemalloc.start()
+        try:
+            rc = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert peak < 1 << 22
+        return captured.err
+
+    def test_solve_huge_instance(self, capsys, tmp_path):
+        inst = tmp_path / "big.txt"
+        inst.write_text("p12tsp 1000000\ne 0 1\n", encoding="utf-8")
+        err = self.refused(capsys, ["solve", "--instance", str(inst)])
+        assert err.startswith("error: the cost matrix on 1000000 vertices needs about 931.3 GiB")
+
+    def test_gen_huge_family(self, capsys):
+        err = self.refused(capsys, ["gen", "--family", "three-opt-lb", "--s", "100000"])
+        assert err.startswith("error: the cost matrix on 800000 vertices needs about 596.0 GiB")
+
+    def test_certify_scan_over_cap(self, capsys, tmp_path):
+        # The 144 MB cost matrix fits under the cap; the 2-move scan tables do not.
+        n = 12000
+        inst, tour = tmp_path / "inst.txt", tmp_path / "tour.txt"
+        inst.write_text(f"p12tsp {n}\ne 0 1\n", encoding="utf-8")
+        tour.write_text(f"tour {n}\n" + " ".join(map(str, range(n))) + "\n", encoding="utf-8")
+        argv = ["certify", "--instance", str(inst), "--tour", str(tour), "--k", "2"]
+        err = self.refused(capsys, argv)
+        assert err.startswith("error: the 2-move scan on 12000 vertices needs about 1.3 GiB")
+
+
 class TestAnalyze:
     def test_hexa_report(self, capsys, tmp_path):
         inst, tour = write_hexa(tmp_path)
@@ -351,6 +390,18 @@ class TestSweep:
             reports.append(report.read_text())
         assert reports[0] == reports[1]
 
+    def test_defaults_are_the_config_defaults(self, capsys, monkeypatch):
+        configs = []
+
+        def fake_run_sweep(config):
+            configs.append(config)
+            return SweepResult((), Fraction(1), Fraction(1), 0)
+
+        monkeypatch.setattr(cli, "run_sweep", fake_run_sweep)
+        assert main(["sweep"]) == 0
+        capsys.readouterr()
+        assert configs == [SweepConfig()]
+
     def test_workers_below_one_rejected(self, capsys):
         assert main(["sweep", "--n-min", "6", "--n-max", "6", "--workers", "0"]) == 2
         assert "at least one worker" in capsys.readouterr().err
@@ -368,6 +419,24 @@ class TestUsage:
     def test_instance_is_directory(self, capsys, tmp_path):
         assert main(["solve", "--instance", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("tour 6\n0 1 2 3 4 4\n", "vertex 4 appears more than once"),
+            ("tour 6\n0 1 2 3 4 9\n", "missing vertices [5], out-of-range entries [9]"),
+            # Too short for the instance as well: the duplicate is found first, at read time.
+            ("tour 5\n0 1 1 2 3\n", "vertex 1 appears more than once"),
+        ],
+        ids=["duplicate", "out-of-range", "short-duplicate"],
+    )
+    def test_bad_tour_file(self, capsys, tmp_path, text, message):
+        inst, tour = write_hexa(tmp_path)
+        Path(tour).write_text(text, encoding="utf-8")
+        assert main(["certify", "--instance", inst, "--tour", tour]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     def test_binary_instance_file(self, capsys, tmp_path):
         binary = tmp_path / "binary.txt"

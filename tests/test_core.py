@@ -24,11 +24,15 @@ from kopt12 import (
     endpoint_pair_violations,
     find_forbidden_constellation,
     find_improving,
+    find_improving_by_enumeration,
     identity_tour,
     local_search,
     one_path_decomposition,
+    parse_tour,
     pp_path_checks,
     ratio_report,
+    read_tour,
+    structural_checks,
     tour_cost,
     validate_tour,
 )
@@ -99,34 +103,36 @@ class TestTourValidation:
         with pytest.raises(WrongLengthError):
             validate_tour(hexa, Tour((0, 1, 2)))
 
-    def test_duplicate_vertex(self, hexa):
-        with pytest.raises(DuplicateVertexError):
-            validate_tour(hexa, Tour((0, 1, 2, 3, 4, 4)))
+    def test_duplicate_vertex(self):
+        for order in ((0, 1, 2, 3, 4, 4), (0, 1, 1)):
+            with pytest.raises(DuplicateVertexError, match="vertex . appears more than once"):
+                Tour(order)
 
-    def test_missing_vertex(self, hexa):
-        with pytest.raises(MissingVertexError):
-            validate_tour(hexa, Tour((0, 1, 2, 3, 4, 9)))
+    def test_missing_vertex(self):
+        for order, gap in (((0, 1, 2, 3, 4, 9), r"\[5\].*\[9\]"), ((0, 1, 3), r"\[2\].*\[3\]")):
+            with pytest.raises(MissingVertexError, match="missing vertices " + gap):
+                Tour(order)
 
     def test_accepts_permutation(self, hexa):
         validate_tour(hexa, Tour((5, 3, 1, 0, 2, 4)))
 
 
-# One bad tour on the six-vertex hexa instance per validation failure.
-_BAD_TOURS = {
-    WrongLengthError: Tour((0, 1, 2)),
-    DuplicateVertexError: Tour((0, 1, 2, 3, 4, 4)),
-    MissingVertexError: Tour((0, 1, 2, 3, 4, 9)),
+# A permutation of the wrong length for the six-vertex hexa instance, and two
+# orders that are no permutation, by the error each raises.
+_BAD_ORDERS = {
+    WrongLengthError: (0, 1, 2),
+    DuplicateVertexError: (0, 1, 2, 3, 4, 4),
+    MissingVertexError: (0, 1, 2, 3, 4, 9),
 }
 
 
-def _ledger(instance):
-    return distribute_counters(instance, identity_tour(6), Tour((0, 1, 5, 4, 3, 2)))
-
-
 # Each public function that takes a tour, called with the bad tour t in one
-# tour argument and valid values everywhere else.
+# tour argument and valid values everywhere else.  The ledger checks and the
+# endpoint-pair scan take t through the ledger or decomposition they read.
 _TOUR_TAKERS = {
     "find_improving": lambda i, t: find_improving(i, t, 3),
+    "find_improving_by_enumeration": lambda i, t: find_improving_by_enumeration(i, t, 3),
+    "structural_checks": lambda i, t: structural_checks(i, t, identity_tour(6), "plain"),
     "local_search": lambda i, t: local_search(i, start=t),
     "certify_k_optimal": lambda i, t: certify_k_optimal(i, t, 3),
     "certify_kpp_optimal": lambda i, t: certify_kpp_optimal(i, t, 3),
@@ -135,20 +141,37 @@ _TOUR_TAKERS = {
     "one_path_decomposition": one_path_decomposition,
     "distribute_counters": lambda i, t: distribute_counters(i, t, identity_tour(6)),
     "distribute_counters_optimal": lambda i, t: distribute_counters(i, identity_tour(6), t),
-    "check_counter_properties": lambda i, t: check_counter_properties(i, t, _ledger(i)),
-    "pp_path_checks": lambda i, t: pp_path_checks(i, t, _ledger(i)),
+    "check_counter_properties": lambda i, t: check_counter_properties(
+        i, distribute_counters(i, t, identity_tour(6))
+    ),
+    "pp_path_checks": lambda i, t: pp_path_checks(distribute_counters(i, t, identity_tour(6))),
     "find_forbidden_constellation": find_forbidden_constellation,
-    "endpoint_pair_violations": endpoint_pair_violations,
+    "endpoint_pair_violations": lambda i, t: endpoint_pair_violations(
+        i, one_path_decomposition(i, t)
+    ),
     "ratio_report": lambda i, t: ratio_report(i, t, identity_tour(6)),
     "ratio_report_reference": lambda i, t: ratio_report(i, identity_tour(6), t),
 }
 
 
-@pytest.mark.parametrize("error", list(_BAD_TOURS), ids=lambda e: e.__name__)
+@pytest.mark.parametrize("error", list(_BAD_ORDERS), ids=lambda e: e.__name__)
 @pytest.mark.parametrize("call", list(_TOUR_TAKERS))
 def test_public_functions_reject_bad_tours(hexa, call, error):
+    # Tour refuses an order that is no permutation, so such an order fails
+    # before it reaches the call; the short permutation fails in the call.
     with pytest.raises(error):
-        _TOUR_TAKERS[call](hexa, _BAD_TOURS[error])
+        _TOUR_TAKERS[call](hexa, Tour(_BAD_ORDERS[error]))
+
+
+@pytest.mark.parametrize("error", [DuplicateVertexError, MissingVertexError], ids=lambda e: e.__name__)
+def test_bad_orders_are_refused_when_built_or_read(tmp_path, error):
+    order = _BAD_ORDERS[error]
+    text = f"tour {len(order)}\n" + " ".join(map(str, order)) + "\n"
+    path = tmp_path / "bad.txt"
+    path.write_text(text, encoding="utf-8")
+    for build in (lambda: Tour(order), lambda: parse_tour(text), lambda: read_tour(path)):
+        with pytest.raises(error):
+            build()
 
 
 def test_tour_edges_are_canonical():
