@@ -62,7 +62,6 @@ class CounterLedger:
     l: int
     f: int
     tour: Tour
-    optimal_tour: Tour
     decomposition: PathDecomposition
 
     @cached_property
@@ -184,7 +183,6 @@ def distribute_counters(instance: Instance, tour: Tour, optimal_tour: Tour) -> C
         l=l,
         f=f,
         tour=tour,
-        optimal_tour=optimal_tour,
         decomposition=dec,
     )
 

@@ -31,7 +31,7 @@ position first, so the n^3 triple tables are built one block of leading
 positions at a time, in ascending order, and the scan stops at the first
 block that holds an accepted candidate.  A descent step thus usually builds
 only the first rows, and a certificate scan, which visits every block,
-holds one block at a time.
+holds one block at a time.  Each table is searched by one argmax.
 The generator with is_improving_pp is the reference semantics, and the
 tests check the scan against it.
 """
@@ -231,7 +231,10 @@ def is_improving_pp(instance: Instance, tour: Tour, move: KMove) -> bool:
 #
 # The n^2 tables are built once per call: the pair table over (i, j), and
 # for k = 3 the table over (x, y) for the single pure reconnection of the
-# adjacent pair (x, x+1) plus the edge y.  Each yields its least accepted
+# adjacent pair (x, x+1) plus the edge y.  _first_accepted searches views
+# in whose row-major order keys ascend: the pair table, and the adjacent
+# table's row x = n-1 (keys (0, y, n-1, 1)), upper triangle (x, x+1, y, 2)
+# and transposed lower triangle (y, x, x+1, 2), each for its least accepted
 # key.  The four pattern tables over the pairwise non-adjacent triples
 # (i, j, k) hold n^3 entries.  They are built one block of leading rows i
 # at a time, in ascending i.  Keys compare by i first, so the scan stops at
@@ -250,11 +253,11 @@ _MAX_BLOCK = 1 << 21
 _REJECT = -1000
 # Score term tables by the removed-edge ends (ex, ey) their added edges join.
 _Tables = dict[tuple[int, int], np.ndarray]
-# Peak bytes of one scan per n^2 entry, by k, rounded up from tracemalloc
-# at n = 400 and 800: 7 (plain) and 9.3 (++) for k = 2; 16 to 34 for k = 3
-# on random tours, and 66 when nearly every adjacent-pair entry is accepted,
-# so np.nonzero returns two int64 positions per entry.
-_SCAN_BYTES_PER_ENTRY = {2: 10, 3: 72}
+# Peak bytes of one scan per n^2 entry, by k, rounded up from tracemalloc:
+# k = 2 at n = 400 and 800: 7 (plain), 9.3 (++); k = 3 at n = 400 to 1,600
+# with only the tour's edges at cost 2, and certificates at n = 1,600: 15.0
+# (plain), 20.2 (++).  Below n = 1,449 a triple block can pass n^2 entries.
+_SCAN_BYTES_PER_ENTRY = {2: 10, 3: 24}
 
 
 def _position_costs(instance: Instance, tour: Tour) -> np.ndarray:
@@ -326,18 +329,6 @@ def _triple_block(
     return out
 
 
-def _adjacent_keys(n: int, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Scan keys (i, j, k, pattern id) of adjacent pair (x, x+1) plus edge y."""
-    wrap = x == n - 1
-    after = y > x
-    return (
-        np.where(wrap, 0, np.where(after, x, y)),
-        np.where(wrap, y, np.where(after, x + 1, x)),
-        np.where(wrap, n - 1, np.where(after, y, x + 1)),
-        np.where(wrap, 1, 2),
-    )
-
-
 def _row_blocks(n: int) -> Iterator[tuple[int, int]]:
     """Leading-row ranges of the triple blocks, in ascending order."""
     area = n * n
@@ -368,19 +359,29 @@ def _least_key(instance: Instance, tour: Tour, k: int, plusplus: bool) -> tuple 
     reject[0, n - 1] = _REJECT
     for t in terms.values():
         t += reject
+    keys = []
+    if k == 3:
+        # The adjacent pair (x, x+1) needs y + 1 <= x - 1 or y >= x + 3 (cyclically).
+        adjacent[idx[:, None], (idx[:, None] + (-1, 0, 1, 2)) % n] = _REJECT
+        # Near a local optimum no adjacent pair is accepted: one search skips the views.
+        if _first_accepted(adjacent) is not None:
+            flat = _first_accepted(adjacent[n - 1])  # the wrap pair (n-1, 0), by y
+            if flat is not None:
+                keys.append((0, flat, n - 1, 1))
+            # reject rejects every entry with y < x, and transposed every one with y > x.
+            flat = _first_accepted(adjacent[:-1] + reject[:-1])  # by x then y
+            if flat is not None:
+                keys.append((flat // n, flat // n + 1, flat % n, 2))
+            flat = _first_accepted(adjacent[:-1].T + reject[:, :-1])  # by y then x
+            if flat is not None:
+                keys.append((flat // (n - 1), flat % (n - 1), flat % (n - 1) + 1, 2))
     del reject
     flat = _first_accepted(terms[0, 0] + terms[1, 1])
-    best = None if flat is None else (flat // n, flat % n)
+    if flat is not None:
+        keys.append(divmod(flat, n))
+    best = min(keys, default=None)
     if k == 2:
         return best
-    # The adjacent pair (x, x+1) needs y + 1 <= x - 1 or y >= x + 3 (cyclically).
-    adjacent[idx[:, None], (idx[:, None] + (-1, 0, 1, 2)) % n] = _REJECT
-    x, y = np.nonzero(adjacent >= 1)
-    if x.size:
-        i, j, kk, pid = _adjacent_keys(n, x, y)
-        e = int(np.argmin((i * n + j) * n + kk))
-        key = (int(i[e]), int(j[e]), int(kk[e]), int(pid[e]))
-        best = key if best is None or key < best else best
     for lo, hi in _row_blocks(n):
         if best is not None and lo > best[0]:
             break

@@ -77,7 +77,6 @@ def test_count_bound_fails_on_overfull_ledger():
         l=4,
         f=0,
         tour=identity_tour(5),
-        optimal_tour=identity_tour(5),
         decomposition=one_path_decomposition(Instance(5, frozenset()), identity_tour(5)),
     )
     assert not count_bound_check(ledger)
@@ -212,7 +211,6 @@ def _one_path_ledger(counters) -> tuple[Instance, CounterLedger]:
         l=1,
         f=0,
         tour=tour,
-        optimal_tour=tour,
         decomposition=one_path_decomposition(instance, tour),
     )
     return instance, ledger

@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 from kopt12 import SweepConfig, SweepResult, read_instance, read_tour, run_sweep, tour_cost
-from kopt12 import cli
+from kopt12 import cli, moves
+from kopt12.core import check_dense_size
 from kopt12.cli import main
 
 HEXA_PAIRS = [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5), (0, 2)]
@@ -240,15 +241,25 @@ class TestDenseCap:
         err = self.refused(capsys, ["gen", "--family", "three-opt-lb", "--s", "100000"])
         assert err.startswith("error: the cost matrix on 800000 vertices needs about 596.0 GiB")
 
-    def test_certify_scan_over_cap(self, capsys, tmp_path):
-        # The 144 MB cost matrix fits under the cap; the 2-move scan tables do not.
-        n = 12000
+    @staticmethod
+    def certify_argv(tmp_path, n: int, k: int) -> list[str]:
+        """certify --k k of the identity tour on an n-vertex instance."""
         inst, tour = tmp_path / "inst.txt", tmp_path / "tour.txt"
         inst.write_text(f"p12tsp {n}\ne 0 1\n", encoding="utf-8")
         tour.write_text(f"tour {n}\n" + " ".join(map(str, range(n))) + "\n", encoding="utf-8")
-        argv = ["certify", "--instance", str(inst), "--tour", str(tour), "--k", "2"]
-        err = self.refused(capsys, argv)
+        return ["certify", "--instance", str(inst), "--tour", str(tour), "--k", str(k)]
+
+    def test_certify_scan_over_cap(self, capsys, tmp_path):
+        # The 144 MB cost matrix fits under the cap; the 2-move scan tables do not.
+        err = self.refused(capsys, self.certify_argv(tmp_path, 12000, 2))
         assert err.startswith("error: the 2-move scan on 12000 vertices needs about 1.3 GiB")
+
+    def test_certify_3_scan_one_over_cap(self, capsys, tmp_path):
+        # 6,688 vertices is the largest 3-move scan the cap admits.
+        check_dense_size(6688, moves._SCAN_BYTES_PER_ENTRY[3])
+        err = self.refused(capsys, self.certify_argv(tmp_path, 6689, 3))
+        assert err.startswith("error: the 3-move scan on 6689 vertices needs about 1.0 GiB")
+        assert err.count("\n") == 1
 
 
 class TestAnalyze:

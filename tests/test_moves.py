@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -43,7 +44,6 @@ from kopt12 import (
 from kopt12 import moves
 from kopt12.moves import (
     _PATTERN_ENDS,
-    _adjacent_keys,
     _move_from_key,
     _position_costs,
     _score_terms,
@@ -308,14 +308,45 @@ def test_only_move_in_last_block():
 def test_only_move_is_adjacent_pair_wrap(y):
     n = 20
     # Adjacent pair (x, x+1) with x = n-1 removes positions n-1 and 0.
-    key = tuple(int(v) for v in _adjacent_keys(n, n - 1, y))
-    assert key == (0, y, n - 1, 1)
-    _assert_first_found(n, key)
+    _assert_first_found(n, (0, y, n - 1, 1))
 
 
-def test_least_of_two_adjacent_pair_moves():
-    # The wrap key leads with position 0 although its middle position is larger.
-    _assert_first_found(20, (0, 12, 19, 1), (2, 3, 8, 2))
+@pytest.mark.parametrize(
+    "keys",
+    [
+        # The wrap key leads with position 0 although its middle position is larger.
+        ((0, 12, 19, 1), (2, 3, 8, 2)),
+        # Both are pair (x, x+1) plus an edge y < x.  Their keys lead with y,
+        # so a search in (x, y) order would reach x = 10 first and pick the second.
+        ((2, 16, 17, 2), (6, 10, 11, 2)),
+        # An edge y < x leads its key, so it beats the key of an edge y > x
+        # whose pair comes first.
+        ((3, 17, 18, 2), (5, 6, 13, 2)),
+    ],
+    ids=["wrap-first", "edge-before-pair", "edge-before-later-edge"],
+)
+def test_least_of_two_adjacent_pair_moves(keys):
+    _assert_first_found(20, *keys)
+
+
+@pytest.mark.parametrize("plusplus", [False, True])
+def test_scan_peak_within_byte_budget(plusplus):
+    # When the only cost-2 edges are the tour's, nearly every candidate is
+    # accepted; the size cap budgets this worst case.
+    n = 400
+    tour = identity_tour(n)
+    heavy = tour.edge_set
+    instance = Instance.from_pairs(
+        n, (e for e in itertools.combinations(range(n), 2) if e not in heavy)
+    )
+    instance.cost_matrix  # cached, so only the scan is measured
+    tracemalloc.start()
+    try:
+        assert find_improving(instance, tour, 3, plusplus) is not None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= moves._SCAN_BYTES_PER_ENTRY[3] * n * n
 
 
 @pytest.mark.parametrize("plusplus", [False, True])
@@ -369,7 +400,12 @@ def _score_by_key(instance, tour, plusplus):
     for x in range(n):
         for y in range(n):
             if 3 <= (y - x) % n <= n - 2:
-                key = tuple(int(v) for v in _adjacent_keys(n, x, y))
+                # The pair (n-1, 0) wraps and leads with position 0; otherwise
+                # the keys order the positions x, x+1 and y.
+                if x == n - 1:
+                    key = (0, y, n - 1, 1)
+                else:
+                    key = (x, x + 1, y, 2) if y > x else (y, x, x + 1, 2)
                 out[key] = int(adjacent[x, y])
     return out
 
