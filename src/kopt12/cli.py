@@ -50,7 +50,7 @@ from .errors import (
     SizeExceededError,
     TourValidationError,
 )
-from .exact import HELD_KARP_LIMIT, held_karp
+from .exact import check_held_karp_size, held_karp
 from .fileio import read_instance, read_tour, write_instance, write_tour
 from .moves import format_kmove, local_search
 
@@ -64,7 +64,6 @@ class SweepConfig:
     per_cell: int = 21
     p_values: tuple[float, ...] = (0.3, 0.5, 0.7)
     seed: int = 42
-    limit: int = HELD_KARP_LIMIT
     workers: int = 1
 
 
@@ -120,10 +119,10 @@ def structural_checks(
     return True, ""
 
 
-def _sweep_cell(task: tuple[int, float, int, int, int]) -> tuple[RunRecord, ...]:
-    n, p, index, inst_seed, limit = task
+def _sweep_cell(task: tuple[int, float, int, int]) -> tuple[RunRecord, ...]:
+    n, p, index, inst_seed = task
     instance = random_instance(n, p, inst_seed)
-    opt = held_karp(instance, limit)
+    opt = held_karp(instance)
     records = []
     for predicate in ("plain", "pp"):
         for start in ("identity", "random"):
@@ -168,9 +167,10 @@ def run_sweep(config: SweepConfig) -> SweepResult:
         raise InvalidArgumentError("need at least one instance per cell")
     if config.workers < 1:
         raise InvalidArgumentError("need at least one worker")
+    check_held_karp_size(config.n_max)
     workers = min(config.workers, os.cpu_count() or 1)
     tasks = [
-        (n, p, idx, config.seed * 1000003 + n * 1009 + idx, config.limit)
+        (n, p, idx, config.seed * 1000003 + n * 1009 + idx)
         for p in config.p_values
         for n in range(config.n_min, config.n_max + 1)
         for idx in range(config.per_cell)
@@ -257,8 +257,6 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    if args.tour and args.seed is not None:
-        raise InvalidArgumentError("--seed shuffles the start, so it cannot go with --tour")
     instance = read_instance(Path(args.instance))
     start = read_tour(Path(args.tour)) if args.tour else None
     tour, stats = local_search(
@@ -310,7 +308,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 
 def _cmd_exact(args: argparse.Namespace) -> int:
     instance = read_instance(Path(args.instance))
-    result = held_karp(instance, args.limit)
+    result = held_karp(instance)
     if args.out_tour:
         write_tour(result.tour, Path(args.out_tour))
     _emit([f"n={instance.n}", f"cost={result.cost}", f"method={result.method}"], None)
@@ -318,15 +316,12 @@ def _cmd_exact(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    if args.optimal and args.limit is not None:
-        raise InvalidArgumentError("--limit caps the exact solver, which --optimal skips")
     instance = read_instance(Path(args.instance))
     tour = read_tour(Path(args.tour))
     if args.optimal:
         reference = read_tour(Path(args.optimal))
     else:
-        limit = HELD_KARP_LIMIT if args.limit is None else args.limit
-        reference = held_karp(instance, limit).tour
+        reference = held_karp(instance).tour
     ledger = distribute_counters(instance, tour, reference)
     report = check_counter_properties(instance, ledger)
     ratios = ratio_report(instance, tour, reference)
@@ -370,7 +365,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         per_cell=args.per_cell,
         p_values=tuple(args.p),
         seed=args.seed,
-        limit=args.limit,
         workers=args.workers,
     )
     result = run_sweep(config)
@@ -437,7 +431,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("exact", help="optimum tour by dynamic programming")
     p.add_argument("--instance", required=True)
-    p.add_argument("--limit", type=int, default=HELD_KARP_LIMIT)
     p.add_argument("--out-tour")
     p.set_defaults(func=_cmd_exact)
 
@@ -445,7 +438,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instance", required=True)
     p.add_argument("--tour", required=True)
     p.add_argument("--optimal", help="reference tour file; exact optimum if omitted")
-    p.add_argument("--limit", type=int, help=f"exact solver size cap (default {HELD_KARP_LIMIT})")
     p.add_argument("--report")
     p.set_defaults(func=_cmd_analyze)
 
@@ -459,7 +451,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--per-cell", type=int, default=SweepConfig.per_cell)
     p.add_argument("--p", type=float, nargs="+", default=SweepConfig.p_values)
     p.add_argument("--seed", type=int, default=SweepConfig.seed)
-    p.add_argument("--limit", type=int, default=SweepConfig.limit)
     p.add_argument("--workers", type=int, default=SweepConfig.workers)
     p.add_argument("--report")
     p.set_defaults(func=_cmd_sweep)

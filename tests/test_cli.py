@@ -195,22 +195,25 @@ class TestExact:
         assert lines == ["n=6", "cost=7", "method=held-karp"]
         assert tuple(read_tour(out_tour).order) == (0, 1, 5, 4, 3, 2)
 
-    def test_limit_exceeded(self, capsys, tmp_path):
-        inst, _ = write_hexa(tmp_path)
-        rc, _ = run(capsys, ["exact", "--instance", inst, "--limit", "4"])
-        assert rc == 2
+    def test_seventeen_vertices(self, capsys, tmp_path):
+        inst = tmp_path / "ring17.txt"
+        ring = "".join(f"e {i} {i + 1}\n" for i in range(16)) + "e 0 16\n"
+        inst.write_text("p12tsp 17\n" + ring, encoding="utf-8")
+        rc, lines = run(capsys, ["exact", "--instance", str(inst)])
+        assert rc == 0
+        assert lines == ["n=17", "cost=17", "method=held-karp"]
 
     def test_memory_cap_refuses_before_allocating(self, capsys, tmp_path):
         inst = tmp_path / "n30.txt"
         inst.write_text("p12tsp 30\ne 0 1\n", encoding="utf-8")
         tracemalloc.start()
         try:
-            rc = main(["exact", "--instance", str(inst), "--limit", "40"])
+            rc = main(["exact", "--instance", str(inst)])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert rc == 2
-        assert "error: held_karp on 30 vertices needs about 66.0 GiB" in capsys.readouterr().err
+        assert "error: held_karp on 30 vertices needs about 75.4 GiB" in capsys.readouterr().err
         assert peak < 1 << 20
 
 
@@ -260,6 +263,10 @@ class TestDenseCap:
         err = self.refused(capsys, self.certify_argv(tmp_path, 6689, 3))
         assert err.startswith("error: the 3-move scan on 6689 vertices needs about 1.0 GiB")
         assert err.count("\n") == 1
+
+    def test_sweep_past_held_karp_cap(self, capsys):
+        err = self.refused(capsys, ["sweep", "--n-min", "25", "--n-max", "25"])
+        assert err.startswith("error: held_karp on 25 vertices needs about 2.0 GiB")
 
 
 class TestAnalyze:
@@ -483,7 +490,6 @@ class TestUsage:
             ["certify", "--family", "two-opt-lb", "--n", "8", "--instance", "{inst}"],
             ["certify", "--instance", "{inst}", "--tour", "{tour}", "--n", "6"],
             ["solve", "--instance", "{inst}", "--tour", "{tour}", "--seed", "3"],
-            ["analyze", "--instance", "{inst}", "--tour", "{tour}", "--optimal", "{tour}", "--limit", "3"],
         ],
         ids=" ".join,
     )

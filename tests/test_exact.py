@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 
@@ -12,9 +14,11 @@ from kopt12 import (
     brute_force,
     held_karp,
     identity_tour,
+    random_instance,
     tour_cost,
     validate_tour,
 )
+from kopt12.exact import _held_karp_bytes
 
 from conftest import instances
 
@@ -39,20 +43,27 @@ def test_cost_extremes():
 
 
 def test_size_limits():
-    big = Instance(17, frozenset())
-    with pytest.raises(SizeExceededError):
-        held_karp(big)
-    with pytest.raises(SizeExceededError):
-        held_karp(Instance(12, frozenset()), limit=10)
     with pytest.raises(SizeExceededError, match="GiB"):
-        held_karp(Instance(25, frozenset()), limit=25)
+        held_karp(Instance(25, frozenset()))
     with pytest.raises(SizeExceededError):
         brute_force(Instance(11, frozenset()))
 
 
-def test_limit_override_allows_larger_instances():
-    inst = Instance.from_pairs(14, [(i, i + 1) for i in range(13)] + [(0, 13)])
-    assert held_karp(inst, limit=14).cost == 14
+def test_held_karp_runs_past_sixteen_vertices():
+    inst = Instance.from_pairs(17, [(i, i + 1) for i in range(16)] + [(0, 16)])
+    assert held_karp(inst).cost == 17
+
+
+@pytest.mark.parametrize("n", [16, 18])
+def test_held_karp_bytes_bound_the_peak(n):
+    instance = random_instance(n, 0.5, n)
+    tracemalloc.start()
+    try:
+        held_karp(instance)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= _held_karp_bytes(n)
 
 
 @settings(max_examples=60, deadline=None)

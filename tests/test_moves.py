@@ -500,6 +500,8 @@ def test_local_search_start_tour_handling(hexa):
     start = Tour((3, 4, 5, 1, 2, 0))
     tour, stats = local_search(hexa, start=start, k=2)
     assert tour_cost(hexa, tour) <= tour_cost(hexa, start)
+    with pytest.raises(InvalidArgumentError, match="not both"):
+        local_search(hexa, start=start, seed=3)
     same_seed_a, _ = local_search(hexa, k=3, seed=11)
     same_seed_b, _ = local_search(hexa, k=3, seed=11)
     assert same_seed_a == same_seed_b
