@@ -18,7 +18,7 @@ from math import comb
 
 import numpy as np
 
-from .core import DENSE_MAX_BYTES, Instance, Tour
+from .core import DENSE_MAX_BYTES, Instance, Tour, cycle_from_edges
 from .errors import SizeExceededError
 
 BRUTE_FORCE_LIMIT = 10
@@ -31,13 +31,6 @@ class ExactResult:
     tour: Tour
     cost: int
     method: str
-
-
-def _canonical_direction(order: tuple[int, ...]) -> tuple[int, ...]:
-    pos0 = order.index(0)
-    fwd = order[pos0:] + order[:pos0]
-    rev = (fwd[0],) + tuple(reversed(fwd[1:]))
-    return min(fwd, rev)
 
 
 def _held_karp_bytes(n: int) -> int:
@@ -96,7 +89,7 @@ def held_karp(instance: Instance) -> ExactResult:
         rev.append(last)
         mask = pmask
     order = (0,) + tuple(v + 1 for v in reversed(rev))
-    return ExactResult(Tour(_canonical_direction(order)), cost, "held-karp")
+    return ExactResult(Tour(cycle_from_edges(Tour(order).edges())), cost, "held-karp")
 
 
 def brute_force(instance: Instance) -> ExactResult:
@@ -121,4 +114,5 @@ def brute_force(instance: Instance) -> ExactResult:
             best_cost = total
             best = perm
     assert best is not None and best_cost is not None
-    return ExactResult(Tour(_canonical_direction((0,) + best)), best_cost, "brute-force")
+    tour = Tour(cycle_from_edges(Tour((0,) + best).edges()))
+    return ExactResult(tour, best_cost, "brute-force")

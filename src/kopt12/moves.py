@@ -31,7 +31,8 @@ position first, so the n^3 triple tables are built one block of leading
 positions at a time, in ascending order, and the scan stops at the first
 block that holds an accepted candidate.  A descent step thus usually builds
 only the first rows, and a certificate scan, which visits every block,
-holds one block at a time.  Each table is searched by one argmax.
+holds its n^2 tables and one block of max(2^16, n^2) entries, rounded up
+to whole rows of n^2.  Each table is searched by one argmax.
 The generator with is_improving_pp is the reference semantics, and the
 tests check the scan against it.
 """
@@ -239,16 +240,14 @@ def is_improving_pp(instance: Instance, tour: Tour, move: KMove) -> bool:
 # (i, j, k) hold n^3 entries.  They are built one block of leading rows i
 # at a time, in ascending i.  Keys compare by i first, so the scan stops at
 # the first block that holds an accepted triple, or once its rows pass the
-# leading index of the least pair or adjacent-pair key.  A block starts at
-# _FIRST_BLOCK entries and doubles up to _MAX_BLOCK, so a scan with
-# n^3 <= _FIRST_BLOCK is one block, a descent step usually builds one small
-# block, and a certificate scan, which visits every block, holds
-# O(_MAX_BLOCK) table entries at a time on top of the n^2 tables.
+# leading index of the least pair or adjacent-pair key.  Every block but
+# the last has ceil(_BLOCK / n^2) rows, so a scan with n^3 <= _BLOCK is one
+# block, and any scan holds one block of max(_BLOCK, n^2) entries, rounded
+# up to whole rows, at a time on top of the n^2 tables.
 # ---------------------------------------------------------------------------
 
-# Entries (rows times n^2) of the first and of the largest triple block.
-_FIRST_BLOCK = 1 << 16
-_MAX_BLOCK = 1 << 21
+# Entries (rows times n^2, rounded up to whole rows) of a triple block.
+_BLOCK = 1 << 16
 # Score term of a position pair that no candidate removes together.
 _REJECT = -1000
 # Score term tables by the removed-edge ends (ex, ey) their added edges join.
@@ -256,7 +255,8 @@ _Tables = dict[tuple[int, int], np.ndarray]
 # Peak bytes of one scan per n^2 entry, by k, rounded up from tracemalloc:
 # k = 2 at n = 400 and 800: 7 (plain), 9.3 (++); k = 3 at n = 400 to 1,600
 # with only the tour's edges at cost 2, and certificates at n = 1,600: 15.0
-# (plain), 20.2 (++).  Below n = 1,449 a triple block can pass n^2 entries.
+# (plain), 20.2 (++); family certificates at n = 204 to 800: 14.2 (plain),
+# 22.3 (++).  Below n = 256 a triple block can pass n^2 entries.
 _SCAN_BYTES_PER_ENTRY = {2: 10, 3: 24}
 
 
@@ -331,14 +331,9 @@ def _triple_block(
 
 def _row_blocks(n: int) -> Iterator[tuple[int, int]]:
     """Leading-row ranges of the triple blocks, in ascending order."""
-    area = n * n
-    rows = -(-_FIRST_BLOCK // area)
-    cap = -(-_MAX_BLOCK // area)
-    lo = 0
-    while lo < n:
-        hi = min(n, lo + rows)
-        yield lo, hi
-        lo, rows = hi, min(2 * rows, cap)
+    rows = -(-_BLOCK // (n * n))
+    for lo in range(0, n, rows):
+        yield lo, min(n, lo + rows)
 
 
 def _first_accepted(score: np.ndarray) -> int | None:

@@ -264,6 +264,13 @@ class TestDenseCap:
         assert err.startswith("error: the 3-move scan on 6689 vertices needs about 1.0 GiB")
         assert err.count("\n") == 1
 
+    def test_gen_random_edge_set_over_cap(self, capsys):
+        # The 36 MB cost matrix fits under the cap; ~1.8e7 drawn edges do not.
+        argv = ["gen", "--family", "random", "--n", "6000", "--p", "1", "--seed", "1"]
+        err = self.refused(capsys, argv)
+        assert err.startswith("error: a random instance on 6000 vertices needs about 3.4 GiB")
+        assert err.count("\n") == 1
+
     def test_sweep_past_held_karp_cap(self, capsys):
         err = self.refused(capsys, ["sweep", "--n-min", "25", "--n-max", "25"])
         assert err.startswith("error: held_karp on 25 vertices needs about 2.0 GiB")

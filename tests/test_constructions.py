@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from kopt12 import (
     Instance,
     InvalidArgumentError,
+    SizeExceededError,
     canonical_edge,
     certify_k_optimal,
     certify_kpp_optimal,
@@ -149,6 +150,10 @@ class TestRandomInstance:
             random_instance(2, 0.5, 0)
         with pytest.raises(InvalidArgumentError):
             random_instance(6, 1.5, 0)
+
+    def test_edge_set_budgeted_before_drawing(self):
+        with pytest.raises(SizeExceededError, match="random instance on 6000 vertices"):
+            random_instance(6000, 1.0, 1)
 
     @given(
         st.integers(min_value=3, max_value=12),

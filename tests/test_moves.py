@@ -31,6 +31,7 @@ from kopt12 import (
     find_improving,
     find_improving_by_enumeration,
     format_kmove,
+    gen_three_opt_lb,
     gen_three_opt_pp_lb,
     identity_tour,
     is_improving_pp,
@@ -244,8 +245,7 @@ def test_pp_scan_matches_enumeration_along_descents(p, k):
 @pytest.fixture
 def one_row_blocks(monkeypatch):
     """Make every triple block a single leading row."""
-    monkeypatch.setattr(moves, "_FIRST_BLOCK", 1)
-    monkeypatch.setattr(moves, "_MAX_BLOCK", 1)
+    monkeypatch.setattr(moves, "_BLOCK", 1)
 
 
 @pytest.mark.parametrize("plusplus", [False, True])
@@ -329,30 +329,48 @@ def test_least_of_two_adjacent_pair_moves(keys):
     _assert_first_found(20, *keys)
 
 
-@pytest.mark.parametrize("plusplus", [False, True])
-def test_scan_peak_within_byte_budget(plusplus):
-    # When the only cost-2 edges are the tour's, nearly every candidate is
-    # accepted; the size cap budgets this worst case.
-    n = 400
-    tour = identity_tour(n)
-    heavy = tour.edge_set
-    instance = Instance.from_pairs(
-        n, (e for e in itertools.combinations(range(n), 2) if e not in heavy)
-    )
+@pytest.mark.parametrize(
+    "plusplus, s",
+    [
+        pytest.param(False, None, id="False"),
+        pytest.param(True, None, id="True"),
+        # Certificates of the families' tours (n = 400 and 402) visit every block.
+        pytest.param(False, 50, id="certify-three-opt-lb-s50"),
+        pytest.param(True, 67, id="certify-three-opt-pp-lb-s67"),
+    ],
+)
+def test_scan_peak_within_byte_budget(plusplus, s):
+    if s is None:
+        # When the only cost-2 edges are the tour's, nearly every candidate is
+        # accepted; the size cap budgets this worst case.
+        tour = identity_tour(400)
+        instance = Instance.from_pairs(
+            400, (e for e in itertools.combinations(range(400), 2) if e not in tour.edge_set)
+        )
+    else:
+        family = (gen_three_opt_pp_lb if plusplus else gen_three_opt_lb)(s)
+        instance, tour = family.instance, family.tour
+    certify = certify_kpp_optimal if plusplus else certify_k_optimal
     instance.cost_matrix  # cached, so only the scan is measured
     tracemalloc.start()
     try:
-        assert find_improving(instance, tour, 3, plusplus) is not None
+        verdict = certify(instance, tour, 3).verdict
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= moves._SCAN_BYTES_PER_ENTRY[3] * n * n
+    assert verdict == ("non-optimal" if s is None else "optimal")
+    assert peak <= moves._SCAN_BYTES_PER_ENTRY[3] * instance.n**2
 
 
 @pytest.mark.parametrize("plusplus", [False, True])
 @pytest.mark.parametrize("n", [48, 64])
 def test_multi_block_scan_matches_enumeration(n, plusplus):
-    assert len(list(moves._row_blocks(n))) > 1
+    # Contiguous blocks of ceil(_BLOCK / n^2) rows each, all but the last.
+    blocks = list(moves._row_blocks(n))
+    rows = -(-moves._BLOCK // (n * n))
+    assert len(blocks) > 1 and blocks[0][0] == 0 and blocks[-1][1] == n
+    assert all(hi == lo2 for (_, hi), (lo2, _) in zip(blocks, blocks[1:]))
+    assert all(hi - lo == rows for lo, hi in blocks[:-1])
     seed = n + plusplus
     instance = random_instance(n, 6 / n, seed)
     tour, _ = local_search(instance, k=3, plusplus=plusplus, seed=seed)
