@@ -7,6 +7,8 @@ the optimum, exact solvers for small instances, and the counter accounting
 that converts local optimality into approximation ratio bounds.
 """
 
+from types import ModuleType as _ModuleType
+
 from .analysis import (
     Counter,
     CounterLedger,
@@ -65,6 +67,7 @@ from .errors import (
     DuplicateVertexError,
     InvalidArgumentError,
     InvalidMoveError,
+    Kopt12Error,
     MissingVertexError,
     ParseError,
     SizeExceededError,
@@ -103,87 +106,10 @@ from .moves import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BRUTE_FORCE_LIMIT",
-    "Certificate",
-    "ConstructionError",
-    "Counter",
-    "CounterLedger",
-    "DualReport",
-    "DuplicateVertexError",
-    "Edge",
-    "ExactResult",
-    "FamilyOutput",
-    "GbPair",
-    "Instance",
-    "InvalidArgumentError",
-    "InvalidMoveError",
-    "KMove",
-    "MIN_N",
-    "MissingVertexError",
-    "ParseError",
-    "PathCheckReport",
-    "PathDecomposition",
-    "PathViolation",
-    "PropertyCheck",
-    "PropertyReport",
-    "RatioReport",
-    "RegularityResult",
-    "RunRecord",
-    "SearchStats",
-    "SizeExceededError",
-    "SweepConfig",
-    "SweepResult",
-    "Tour",
-    "TourValidationError",
-    "WrongLengthError",
-    "apply_move",
-    "brute_force",
-    "build_three_opt_reference",
-    "canonical_edge",
-    "certify_k_optimal",
-    "certify_kpp_optimal",
-    "check_counter_properties",
-    "cost_edge",
-    "count_bound_check",
-    "count_zero_paths",
-    "cycle_from_edges",
-    "distribute_counters",
-    "dual_feasibility_check",
-    "dual_slack",
-    "endpoint_pair_violations",
-    "enumerate_kmoves",
-    "find_forbidden_constellation",
-    "find_improving",
-    "find_improving_by_enumeration",
-    "format_instance",
-    "format_kmove",
-    "format_tour",
-    "gb_values",
-    "gen_three_opt_lb",
-    "gen_three_opt_pp_lb",
-    "gen_two_opt_lb",
-    "held_karp",
-    "identity_tour",
-    "is_improving_pp",
-    "is_regular",
-    "local_search",
-    "main",
-    "move_gain",
-    "neighborhood_size",
-    "one_path_decomposition",
-    "parse_instance",
-    "parse_tour",
-    "pp_path_checks",
-    "random_instance",
-    "ratio_report",
-    "ratio_upper_bound",
-    "read_instance",
-    "read_tour",
-    "run_sweep",
-    "structural_checks",
-    "tour_cost",
-    "validate_tour",
-    "write_instance",
-    "write_tour",
-]
+# pydoc lists a package's re-exports only through __all__, so derive it from
+# the names bound above (submodules left out) to keep one list of exports.
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -102,7 +102,7 @@ def find_forbidden_constellation(
 
 def endpoint_pair_violations(instance: Instance, dec: PathDecomposition) -> list[tuple[int, int]]:
     """Cost-1 pairs of endpoints taken from two different 1-paths of dec, sorted."""
-    if dec.whole_cycle or len(dec.paths) < 2:
+    if len(dec.paths) < 2:
         return []
     c = instance.cost_matrix
     ends = [sorted({path[0], path[-1]}) for path in dec.paths]

@@ -42,14 +42,7 @@ from .certify import (
 )
 from .constructions import FAMILIES, FamilyOutput, random_instance
 from .core import Instance, Tour, tour_cost
-from .errors import (
-    ConstructionError,
-    InvalidArgumentError,
-    InvalidMoveError,
-    ParseError,
-    SizeExceededError,
-    TourValidationError,
-)
+from .errors import InvalidArgumentError, Kopt12Error
 from .exact import check_held_karp_size, held_karp
 from .fileio import read_instance, read_tour, write_instance, write_tour
 from .moves import format_kmove, local_search
@@ -466,15 +459,7 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (
-        ParseError,
-        InvalidArgumentError,
-        InvalidMoveError,
-        TourValidationError,
-        SizeExceededError,
-        ConstructionError,
-        OSError,
-    ) as exc:
+    except (Kopt12Error, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -27,6 +27,7 @@ from .core import (
     Instance,
     Tour,
     canonical_edge,
+    check_dense_bytes,
     check_dense_size,
     cycle_from_edges,
     identity_tour,
@@ -274,7 +275,7 @@ def random_instance(n: int, p: float, seed: int) -> Instance:
         raise InvalidArgumentError(f"need n >= {MIN_N}, got {n}")
     if not 0.0 <= p <= 1.0:
         raise InvalidArgumentError(f"edge probability must be in [0, 1], got {p}")
-    check_dense_size(n, 1 + math.ceil(_EDGE_SET_BYTES * p), "a random instance")
+    check_dense_bytes(n * n + math.ceil(_EDGE_SET_BYTES * p * n * n), n, "a random instance")
     rng = random.Random(seed)
     edges = frozenset(
         (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p

@@ -41,18 +41,23 @@ def canonical_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
+def check_dense_bytes(need: int, n: int, what: str) -> None:
+    """Raise SizeExceededError, naming what on n vertices, when need bytes
+    would pass DENSE_MAX_BYTES; call it before allocating."""
+    if need > DENSE_MAX_BYTES:
+        raise SizeExceededError(
+            f"{what} on {n} vertices needs about {need / 2**30:.1f} GiB, "
+            f"over the {DENSE_MAX_BYTES / 2**30:.0f} GiB cap on dense tables"
+        )
+
+
 def check_dense_size(n: int, bytes_per_entry: int = 1, what: str = "the cost matrix") -> None:
     """Raise SizeExceededError when n-by-n tables of bytes_per_entry bytes
     per entry would pass DENSE_MAX_BYTES; call it before allocating.
 
     The defaults describe the uint8 cost matrix of an n-vertex instance.
     """
-    need = n * n * bytes_per_entry
-    if need > DENSE_MAX_BYTES:
-        raise SizeExceededError(
-            f"{what} on {n} vertices needs about {need / 2**30:.1f} GiB, "
-            f"over the {DENSE_MAX_BYTES / 2**30:.0f} GiB cap on dense tables"
-        )
+    check_dense_bytes(n * n * bytes_per_entry, n, what)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from math import comb
 
 import numpy as np
 
-from .core import DENSE_MAX_BYTES, Instance, Tour, cycle_from_edges
+from .core import Instance, Tour, check_dense_bytes, cycle_from_edges
 from .errors import SizeExceededError
 
 BRUTE_FORCE_LIMIT = 10
@@ -44,14 +44,9 @@ def _held_karp_bytes(n: int) -> int:
 
 
 def check_held_karp_size(n: int) -> None:
-    """Raise SizeExceededError when held_karp on n vertices would pass
-    DENSE_MAX_BYTES; call it before allocating."""
-    need = _held_karp_bytes(n)
-    if need > DENSE_MAX_BYTES:
-        raise SizeExceededError(
-            f"held_karp on {n} vertices needs about {need / 2**30:.1f} GiB, "
-            f"over the {DENSE_MAX_BYTES / 2**30:.0f} GiB cap on dense tables"
-        )
+    """Raise SizeExceededError when held_karp on n vertices would pass the
+    dense-table cap; call it before allocating."""
+    check_dense_bytes(_held_karp_bytes(n), n, "held_karp")
 
 
 def held_karp(instance: Instance) -> ExactResult:
@@ -72,8 +67,6 @@ def held_karp(instance: Instance) -> ExactResult:
         group = by_count[cnt]
         for j in range(m):
             sel = group[(group >> j) & 1 == 1]
-            if sel.size == 0:
-                continue
             prev = sel ^ (1 << j)
             dp[sel, j] = (dp[prev] + inner[:, j][None, :]).min(axis=1)
     full = size - 1

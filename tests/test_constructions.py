@@ -24,6 +24,7 @@ from kopt12 import (
     tour_cost,
     validate_tour,
 )
+from kopt12 import constructions
 
 
 class TestTwoOptFamily:
@@ -153,6 +154,22 @@ class TestRandomInstance:
 
     def test_edge_set_budgeted_before_drawing(self):
         with pytest.raises(SizeExceededError, match="random instance on 6000 vertices"):
+            random_instance(6000, 1.0, 1)
+
+    def test_edge_set_budget_is_exact(self, monkeypatch):
+        # n^2 + 100*p*n^2 bytes: 0.59 GiB at n = 24,000, p = 0.001, under the cap.
+        class Drawing(Exception):
+            pass
+
+        def no_draws(seed):
+            raise Drawing
+
+        monkeypatch.setattr(constructions.random, "Random", no_draws)
+        with pytest.raises(Drawing):
+            random_instance(24000, 0.001, 1)
+        with pytest.raises(
+            SizeExceededError, match="a random instance on 6000 vertices needs about 3.4 GiB"
+        ):
             random_instance(6000, 1.0, 1)
 
     @given(

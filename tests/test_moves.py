@@ -8,6 +8,7 @@ produce identical (removed, added) sets.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 import tracemalloc
@@ -85,6 +86,23 @@ def test_enumeration_matches_cycle_space(n, k):
             if len(removed) in sizes:
                 expected.add((removed, cycle - tour.edge_set))
         assert set(yielded) == expected
+
+
+def test_enumeration_order_golden():
+    # find_improving returns the first accepted move in this order, so the
+    # full sequence is pinned, not only the set of moves.
+    digest = hashlib.sha256()
+    count = 0
+    for n in range(5, 13):
+        order = list(range(n))
+        random.Random(n).shuffle(order)
+        for tour in (identity_tour(n), Tour(tuple(order))):
+            for k in (2, 3):
+                for m in enumerate_kmoves(tour, k):
+                    digest.update(repr((sorted(m.removed), sorted(m.added))).encode())
+                    count += 1
+    assert count == 3880
+    assert digest.hexdigest() == "d712cd22d70f1094e20a02e4629b021a6bd3e8415970846b29a39aa453855611"
 
 
 @pytest.mark.parametrize("n", range(5, 10))
