@@ -35,7 +35,6 @@ from .certify import (
     certify_kpp_optimal,
     endpoint_pair_violations,
     find_forbidden_constellation,
-    neighborhood_size,
 )
 from .cli import RunRecord, SweepConfig, SweepResult, main, run_sweep, structural_checks
 from .constructions import (
@@ -102,6 +101,7 @@ from .moves import (
     is_improving_pp,
     local_search,
     move_gain,
+    neighborhood_size,
 )
 
 __version__ = "0.1.0"

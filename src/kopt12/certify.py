@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .core import Instance, PathDecomposition, Tour, canonical_edge, validate_tour
 from .errors import InvalidArgumentError
-from .moves import KMove, _require_enumerable, find_improving
+from .moves import KMove, find_improving, neighborhood_size
 
 
 @dataclass(frozen=True)
@@ -32,15 +32,6 @@ class Certificate:
     moves_examined: int
     predicate: str
     k: int
-
-
-def neighborhood_size(n: int, k: int) -> int:
-    """Number of distinct moves enumerate_kmoves yields on n vertices."""
-    _require_enumerable(n, k)
-    pairs = n * (n - 3) // 2
-    if k == 2:
-        return pairs
-    return pairs + 4 * (n * (n - 4) * (n - 5) // 6) + n * (n - 4)
 
 
 def _certify(instance: Instance, tour: Tour, k: int, plusplus: bool) -> Certificate:

@@ -33,12 +33,21 @@ block that holds an accepted candidate.  A descent step thus usually builds
 only the first rows, and a certificate scan, which visits every block,
 holds its n^2 tables and one block of max(2^16, n^2) entries, rounded up
 to whole rows of n^2.  Each table is searched by one argmax.
+
+A neighborhood of at most _GATHER_MAX candidates (k = 3 up to n = 13, k = 2
+up to n = 46) skips the tables and is scanned by one gather.  Index arrays
+cached per (n, k) hold the edges of every move the generator yields on the
+identity tour, in its order, so one take from the tour's position-cost
+matrix gives every candidate's gain, and the first with gain >= 1 is the
+plain answer.  Under ++ dz is computed only for the zero-gain candidates
+ahead of it, and the first of those with dz < 0, if any, is taken instead.
 The generator with is_improving_pp is the reference semantics, and the
-tests check the scan against it.
+tests check both scans against it.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, replace
 from typing import Iterator
@@ -109,6 +118,15 @@ def _require_enumerable(n: int, k: int) -> None:
         raise InvalidArgumentError(f"k must be 2 or 3, got {k}")
     if n < 4 or (k == 3 and n < 5):
         raise InvalidArgumentError(f"no {k}-moves exist on {n} vertices")
+
+
+def neighborhood_size(n: int, k: int) -> int:
+    """Number of distinct moves enumerate_kmoves yields on n vertices."""
+    _require_enumerable(n, k)
+    pairs = n * (n - 3) // 2
+    if k == 2:
+        return pairs
+    return pairs + 4 * (n * (n - 4) * (n - 5) // 6) + n * (n - 4)
 
 
 def enumerate_kmoves(tour: Tour, k: int) -> Iterator[KMove]:
@@ -206,7 +224,8 @@ def is_improving_pp(instance: Instance, tour: Tour, move: KMove) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Blocked neighborhood scan.
+# Blocked neighborhood scan, for neighborhoods of more than _GATHER_MAX
+# candidates.
 #
 # Candidates are keyed by removed-edge positions: (i, j) for a pair and
 # (i, j, k, pattern id) for a triple, compared as tuples.  The least
@@ -404,6 +423,103 @@ def _move_from_key(tour: Tour, key: tuple) -> KMove:
     return KMove(removed, added)
 
 
+# ---------------------------------------------------------------------------
+# Gathered scan of small neighborhoods.
+#
+# The blocked scan costs about a hundred small NumPy calls whatever n is,
+# which dominates at small n.  A neighborhood of at most _GATHER_MAX
+# candidates is scanned instead through index arrays cached per (n, k), one
+# column per move of enumerate_kmoves(identity_tour(n), k), in that order.
+# On the identity tour a vertex is its position, so the edge (u, v) of a
+# cached move costs A[u, v] on any tour, A being the position-cost matrix.
+# One take gives the costs of every candidate's three removed and three
+# added edges (a 2-move pads both third slots with A[0, 0] = 0), and the
+# plain scan returns the first candidate of gain >= 1.  Under ++ a zero-gain
+# candidate ahead of it is accepted when dz < 0.  dz is computed for those
+# candidates alone (for every candidate it made ++ slower than the blocked
+# scan from n = 16 on), from the at most six endpoints of the removed edges
+# and the two edges each has after the move.  Endpoint slots are padded
+# with position n, never isolated, and its edges with A[0, 0].
+# ---------------------------------------------------------------------------
+
+# Most candidates of a gathered scan: k = 3 up to n = 13, k = 2 up to n = 46.
+# At the cap a gathered scan costs a fifth (k = 3, plain) to about all
+# (k = 2, ++) of a blocked one, but its tables take about 30 ms to build,
+# once per process; past the cap the build outgrows what short runs save
+# (timings in CHANGES.md).
+_GATHER_MAX = 1024
+
+
+@dataclass(frozen=True)
+class _Gather:
+    """Flat indices into the position-cost matrix, one column per candidate."""
+
+    edges: np.ndarray  # (6, m): removed edges in rows 0-2, added edges in rows 3-5
+    ends: np.ndarray  # (6, m): removed-edge endpoint positions
+    after: np.ndarray  # (12, m): rows 2s, 2s+1 are endpoint s's edges after the move
+
+
+@functools.cache
+def _gather_tables(n: int, k: int) -> _Gather:
+    """The read-only gather index arrays of enumerate_kmoves(identity_tour(n), k)."""
+    stride = n + 1
+    edges, ends, after = [], [], []
+    for mv in enumerate_kmoves(identity_tour(n), k):
+        removed = [u * stride + v for u, v in sorted(mv.removed)]
+        added = [u * stride + v for u, v in sorted(mv.added)]
+        pad = [0] * (3 - len(removed))
+        edges.append(removed + pad + added + pad)
+        vs = sorted({v for e in mv.removed for v in e})
+        ends.append(vs + [n] * (6 - len(vs)))
+        flat = []
+        for v in vs:
+            kept = {canonical_edge((v - 1) % n, v), canonical_edge(v, (v + 1) % n)} - mv.removed
+            flat += [u * stride + w for u, w in sorted(kept) + [e for e in mv.added if v in e]]
+        after.append(flat + [0] * (12 - len(flat)))
+    tables = []
+    for rows in (edges, ends, after):
+        table = np.array(rows, dtype=np.int32).T.copy()
+        table.flags.writeable = False
+        tables.append(table)
+    return _Gather(*tables)
+
+
+def _move_from_column(tour: Tour, column: np.ndarray) -> KMove:
+    """The move of one column of gather edge indices, on tour.
+
+    Index 0 is padding: a cached edge (u, v) has u < v, so its index is positive.
+    """
+    o = tour.order
+    stride = len(o) + 1
+    removed, added = (
+        frozenset(canonical_edge(o[f // stride], o[f % stride]) for f in map(int, half) if f)
+        for half in (column[:3], column[3:])
+    )
+    return KMove(removed, added)
+
+
+def _gathered_move(instance: Instance, tour: Tour, k: int, plusplus: bool) -> KMove | None:
+    """First accepted move by the gather tables, or None."""
+    tables = _gather_tables(instance.n, k)
+    A = _position_costs(instance, tour)
+    costs = A.ravel()
+    r0, r1, r2, a0, a1, a2 = costs.take(tables.edges)
+    gain = r0 + r1 + r2 - a0 - a1 - a2
+    first = _first_accepted(gain)
+    if plusplus:
+        zero = np.flatnonzero(gain[:first] == 0)
+        if zero.size:
+            heavy = np.diagonal(A, 1) == 2
+            isolated = np.append(heavy & np.roll(heavy, 1), False)  # by position
+            ends_heavy = costs.take(tables.after[:, zero]) == 2
+            dz = (ends_heavy[0::2] & ends_heavy[1::2]).sum(axis=0)
+            dz -= isolated.take(tables.ends[:, zero]).sum(axis=0)
+            merging = np.flatnonzero(dz < 0)
+            if merging.size:
+                first = int(zero[merging[0]])
+    return None if first is None else _move_from_column(tour, tables.edges[:, first])
+
+
 def find_improving(
     instance: Instance, tour: Tour, k: int, plusplus: bool = False
 ) -> KMove | None:
@@ -415,10 +531,13 @@ def find_improving(
     validate_tour(instance, tour)
     _require_enumerable(instance.n, k)
     check_dense_size(instance.n, _SCAN_BYTES_PER_ENTRY[k], f"the {k}-move scan")
-    key = _least_key(instance, tour, k, plusplus)
-    if key is None:
+    if neighborhood_size(instance.n, k) <= _GATHER_MAX:
+        mv = _gathered_move(instance, tour, k, plusplus)
+    else:
+        key = _least_key(instance, tour, k, plusplus)
+        mv = None if key is None else _move_from_key(tour, key)
+    if mv is None:
         return None
-    mv = _move_from_key(tour, key)
     return replace(mv, gain=move_gain(instance, tour, mv))
 
 

@@ -46,6 +46,10 @@ from kopt12 import (
 from kopt12 import moves
 from kopt12.moves import (
     _PATTERN_ENDS,
+    _gather_tables,
+    _gathered_move,
+    _least_key,
+    _move_from_column,
     _move_from_key,
     _position_costs,
     _score_terms,
@@ -223,23 +227,42 @@ class TestApplyMoveErrors:
             move_gain(hexa, identity_tour(6), move)
 
 
+# Most candidates of a scan the tests also run through the gather tables:
+# the gather is exact at any size, but much larger tables take seconds to
+# build.  This covers k = 3 up to n = 20 and k = 2 up to n = 92.
+_GATHER_TEST_MAX = 1 << 12
+
+
+def _assert_scans_match(instance, tour, k, plusplus):
+    """Check find_improving, the dense scan and the gather against the oracle.
+
+    find_improving takes one of the two paths by neighborhood size, so both
+    are called directly.  Returns the oracle's move.
+    """
+    expected = find_improving_by_enumeration(instance, tour, k, plusplus)
+    assert find_improving(instance, tour, k, plusplus) == expected
+    bare = None if expected is None else replace(expected, gain=None)
+    key = _least_key(instance, tour, k, plusplus)
+    assert (None if key is None else _move_from_key(tour, key)) == bare
+    if neighborhood_size(instance.n, k) <= _GATHER_TEST_MAX:
+        assert _gathered_move(instance, tour, k, plusplus) == bare
+    return expected
+
+
 @settings(max_examples=60)
 @given(instance_tour_pairs(min_n=5, max_n=9))
 def test_scan_matches_enumeration_reference(pair):
     instance, tour = pair
     for k in (2, 3):
         for plusplus in (False, True):
-            fast = find_improving(instance, tour, k, plusplus)
-            slow = find_improving_by_enumeration(instance, tour, k, plusplus)
-            assert fast == slow
+            _assert_scans_match(instance, tour, k, plusplus)
 
 
 def _assert_scan_matches_along_descent(instance, tour, k, plusplus=True):
-    """Compare the scan with the oracle at every step of a descent."""
+    """Compare every scan path with the oracle at every step of a descent."""
     steps = 0
     while True:
-        fast = find_improving(instance, tour, k, plusplus)
-        assert fast == find_improving_by_enumeration(instance, tour, k, plusplus)
+        fast = _assert_scans_match(instance, tour, k, plusplus)
         steps += 1
         if fast is None:
             return tour, steps
@@ -258,6 +281,62 @@ def test_pp_scan_matches_enumeration_along_descents(p, k):
         expected, stats = local_search(instance, k=k, plusplus=True, seed=seed)
         assert final == expected
         assert steps == stats.iterations
+
+
+def _gathered_sizes(k):
+    """Every n, ascending, whose k-move neighborhood find_improving gathers."""
+    first = 4 if k == 2 else 5
+    return list(
+        itertools.takewhile(
+            lambda n: neighborhood_size(n, k) <= moves._GATHER_MAX, itertools.count(first)
+        )
+    )
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_gather_tables_decode_to_enumeration(k):
+    for n in _gathered_sizes(k):
+        tour = identity_tour(n)
+        tables = _gather_tables(n, k)
+        expected = list(enumerate_kmoves(tour, k))
+        assert tables.edges.shape[1] == len(expected) == neighborhood_size(n, k)
+        assert not any(t.flags.writeable for t in vars(tables).values())
+        for column, mv in enumerate(expected):
+            assert _move_from_column(tour, tables.edges[:, column]) == mv
+            # Each removed-edge end with its two edges on the moved tour.
+            after = apply_move(tour, mv).edge_set
+            ends = sorted({v for e in mv.removed for v in e})
+            pad = 6 - len(ends)
+            assert list(tables.ends[:, column]) == ends + [n] * pad
+            flat = tables.after[:, column]
+            assert list(flat[12 - 2 * pad :]) == [0] * 2 * pad
+            for slot, v in enumerate(ends):
+                pair = {divmod(int(f), n + 1) for f in flat[2 * slot : 2 * slot + 2]}
+                assert pair == {e for e in after if v in e}, (n, column, v)
+
+
+def test_gather_tables_fit_their_budget():
+    # 24 int32 indices per candidate; 17,674 candidates up to the cap take 1.6 MiB.
+    total = sum(
+        t.nbytes
+        for k in (2, 3)
+        for n in _gathered_sizes(k)
+        for t in vars(_gather_tables(n, k)).values()
+    )
+    assert total <= 2 * 2**20
+
+
+@pytest.mark.parametrize("plusplus", [False, True])
+@pytest.mark.parametrize("k", [2, 3])
+def test_scan_matches_enumeration_at_gather_cap(k, plusplus):
+    last = _gathered_sizes(k)[-1]
+    # The last gathered n and the first dense one.
+    for n in (last, last + 1):
+        seed = n * 10 + k + plusplus
+        instance = random_instance(n, 0.3, seed)
+        order = list(range(n))
+        random.Random(seed).shuffle(order)
+        _assert_scan_matches_along_descent(instance, Tour(tuple(order)), k, plusplus)
 
 
 @pytest.fixture
@@ -304,8 +383,7 @@ def _only_moves(n, keys):
 def _assert_first_found(n, *keys):
     instance, tour, move = _only_moves(n, list(keys))
     for plusplus in (False, True):
-        assert find_improving(instance, tour, 3, plusplus) == move
-        assert find_improving_by_enumeration(instance, tour, 3, plusplus) == move
+        assert _assert_scans_match(instance, tour, 3, plusplus) == move
 
 
 @pytest.mark.parametrize("pid", [1, 2, 3, 4])
