@@ -18,21 +18,22 @@ same four endpoint patterns stay correct when two removed edges are
 adjacent (one segment degenerates to a single vertex); duplicates and
 impure patterns are filtered per removal tuple.
 
-find_improving runs a vectorised scan instead of the generator.  It
-tabulates a score for every candidate by removed-edge positions: the gain
-under the plain predicate, and under ++ the gain combined with dz, the
-change in the number of isolated vertices, which depends only on the at
-most six endpoints of the removed edges.  The score sums one term per added
-edge, with each removed edge's own term folded into the added edge at its
-end 0.  A candidate is accepted when its score is at least 1 (gain >= 1, or
-under ++ also gain = 0 and dz < 0), and the scan returns the least accepted
-key: the move the generator would accept first.  Keys order by leading
-position first, so the n^3 triple tables are built one block of leading
-positions at a time, in ascending order, and the scan stops at the first
-block that holds an accepted candidate.  A descent step thus usually builds
-only the first rows, and a certificate scan, which visits every block,
-holds its n^2 tables and one block of max(2^16, n^2) entries, rounded up
-to whole rows of n^2.  Each table is searched by one argmax.
+find_improving and local_search run a vectorised scan instead of the
+generator.  It tabulates a score for every candidate by removed-edge
+positions: the gain under the plain predicate, and under ++ the gain
+combined with dz, the change in the number of isolated vertices, which
+depends only on the at most six endpoints of the removed edges.  The score
+sums one term per added edge, with each removed edge's own term folded into
+the added edge at its end 0.  A candidate is accepted when its score is at
+least 1 (gain >= 1, or under ++ also gain = 0 and dz < 0), and the scan
+returns the least accepted key: the move the generator would accept first.
+Keys order by leading position first, so the n^3 triple tables are built
+one block of leading positions at a time, in ascending order, and the scan
+stops at the first block that holds an accepted candidate.  A descent step
+thus usually builds only the first rows, and a certificate scan, which
+visits every block, holds its n^2 tables and one block of max(2^16, n^2)
+entries, rounded up to whole rows of n^2.  Each table is searched by one
+argmax.
 
 A neighborhood of at most _GATHER_MAX candidates (k = 3 up to n = 13, k = 2
 up to n = 46) skips the tables and is scanned by one gather.  Index arrays
@@ -41,8 +42,18 @@ identity tour, in its order, so one take from the tour's position-cost
 matrix gives every candidate's gain, and the first with gain >= 1 is the
 plain answer.  Under ++ dz is computed only for the zero-gain candidates
 ahead of it, and the first of those with dz < 0, if any, is taken instead.
+The same arrays store each move's scan key, so both scans return a key.
 The generator with is_improving_pp is the reference semantics, and the
 tests check both scans against it.
+
+local_search descends on an int array of the tour order, the array
+representation of Bentley (1992): each step builds the position-cost
+matrix, takes the least accepted key from the scan, and applies it by
+segment reversals and exchanges (_reconnect) followed by one roll and at
+most one flip back to the canonical order that apply_move returns.  It
+builds a Tour only for its result.  find_improving turns the key into a
+KMove with its gain; it, apply_move and enumerate_kmoves are the oracles
+the tests hold the descent to.
 """
 
 from __future__ import annotations
@@ -50,7 +61,7 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import dataclass, replace
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -279,14 +290,15 @@ _Tables = dict[tuple[int, int], np.ndarray]
 _SCAN_BYTES_PER_ENTRY = {2: 10, 3: 24}
 
 
-def _position_costs(instance: Instance, tour: Tour) -> np.ndarray:
-    """Cost matrix indexed by tour position; position n is position 0 again.
+def _position_costs(instance: Instance, order: tuple[int, ...] | np.ndarray) -> np.ndarray:
+    """Cost matrix indexed by position in the tour order (a sequence of
+    vertices); position n is position 0 again.
 
     So A[x + a, y + b] for all positions x, y is the slice A[a:a+n, b:b+n].
     """
     n = instance.n
     o = np.empty(n + 1, dtype=np.intp)
-    o[:n] = tour.order
+    o[:n] = order
     o[n] = o[0]
     return instance.cost_matrix.take(o, axis=0).take(o, axis=1).astype(np.int16)
 
@@ -362,10 +374,13 @@ def _first_accepted(score: np.ndarray) -> int | None:
     return flat if ok.flat[flat] else None
 
 
-def _least_key(instance: Instance, tour: Tour, k: int, plusplus: bool) -> tuple | None:
-    """Least accepted scan key, or None when no move is accepted."""
-    n = instance.n
-    terms, adjacent = _score_terms(_position_costs(instance, tour), k, plusplus)
+def _least_key(A: np.ndarray, k: int, plusplus: bool) -> tuple | None:
+    """Least accepted scan key on position costs A, or None when no move is accepted."""
+    n = len(A) - 1
+    terms, adjacent = _score_terms(A, k, plusplus)
+    # The tables replace A: dropping it frees (n + 1)^2 entries before the
+    # scan's largest temporaries are built, when the caller holds no copy.
+    del A
     # Removed positions x < y must be at least two apart on the cycle;
     # entries with x >= y name no candidate.
     idx = np.arange(n)
@@ -423,6 +438,35 @@ def _move_from_key(tour: Tour, key: tuple) -> KMove:
     return KMove(removed, added)
 
 
+# Per triple pattern id, the inner segments in their new order, each as
+# (segment, step): segment 1 runs t[i+1..j], segment 2 t[j+1..k], and
+# step -1 reverses it.
+_RECONNECT = (((1, -1), (2, -1)), ((2, 1), (1, 1)), ((2, -1), (1, 1)), ((2, 1), (1, -1)))
+
+
+def _reconnect(order: np.ndarray, key: tuple) -> np.ndarray:
+    """The canonical order after the move of scan key on order.
+
+    Equals apply_move(Tour(order), _move_from_key(Tour(order), key)).order:
+    a 2-move reverses t[i+1..j], and a triple keeps t[..i] and t[k+1..] and
+    joins the inner segments by its pattern.  The result is rolled to start
+    at vertex 0, and read backward from there when the vertex before 0 is
+    its smaller neighbour.
+    """
+    i, j = key[0], key[1]
+    if len(key) == 2:
+        new = np.concatenate((order[: i + 1], order[j:i:-1], order[j + 1 :]))
+    else:
+        k = key[2]
+        segments = (None, order[i + 1 : j + 1], order[j + 1 : k + 1])
+        inner = [segments[seg][::step] for seg, step in _RECONNECT[key[3] - 1]]
+        new = np.concatenate((order[: i + 1], *inner, order[k + 1 :]))
+    z = int((new == 0).argmax())
+    if new[z - 1] < new[(z + 1) % len(new)]:
+        return np.concatenate((new[z::-1], new[:z:-1]))
+    return np.concatenate((new[z:], new[:z]))
+
+
 # ---------------------------------------------------------------------------
 # Gathered scan of small neighborhoods.
 #
@@ -434,12 +478,15 @@ def _move_from_key(tour: Tour, key: tuple) -> KMove:
 # cached move costs A[u, v] on any tour, A being the position-cost matrix.
 # One take gives the costs of every candidate's three removed and three
 # added edges (a 2-move pads both third slots with A[0, 0] = 0), and the
-# plain scan returns the first candidate of gain >= 1.  Under ++ a zero-gain
-# candidate ahead of it is accepted when dz < 0.  dz is computed for those
-# candidates alone (for every candidate it made ++ slower than the blocked
-# scan from n = 16 on), from the at most six endpoints of the removed edges
-# and the two edges each has after the move.  Endpoint slots are padded
-# with position n, never isolated, and its edges with A[0, 0].
+# plain scan returns the key of the first candidate of gain >= 1, read from
+# a fourth array that the same loop over the generator fills: (i, j, 0, 0)
+# for a pair, and for a triple (i, j, k) with the first pattern id whose
+# added edges are the move's, as the blocked scan numbers it.  Under ++ a
+# zero-gain candidate ahead of it is accepted when dz < 0.  dz is computed
+# for those candidates alone (for every candidate it made ++ slower than
+# the blocked scan from n = 16 on), from the at most six endpoints of the
+# removed edges and the two edges each has after the move.  Endpoint slots
+# are padded with position n, never isolated, and its edges with A[0, 0].
 # ---------------------------------------------------------------------------
 
 # Most candidates of a gathered scan: k = 3 up to n = 13, k = 2 up to n = 46.
@@ -452,18 +499,20 @@ _GATHER_MAX = 1024
 
 @dataclass(frozen=True)
 class _Gather:
-    """Flat indices into the position-cost matrix, one column per candidate."""
+    """Flat indices into the position-cost matrix and scan keys, one column
+    per candidate."""
 
     edges: np.ndarray  # (6, m): removed edges in rows 0-2, added edges in rows 3-5
     ends: np.ndarray  # (6, m): removed-edge endpoint positions
     after: np.ndarray  # (12, m): rows 2s, 2s+1 are endpoint s's edges after the move
+    keys: np.ndarray  # (4, m): (i, j, k, pattern id), (i, j, 0, 0) for a pair
 
 
 @functools.cache
 def _gather_tables(n: int, k: int) -> _Gather:
-    """The read-only gather index arrays of enumerate_kmoves(identity_tour(n), k)."""
+    """The read-only gather tables of enumerate_kmoves(identity_tour(n), k)."""
     stride = n + 1
-    edges, ends, after = [], [], []
+    edges, ends, after, keys = [], [], [], []
     for mv in enumerate_kmoves(identity_tour(n), k):
         removed = [u * stride + v for u, v in sorted(mv.removed)]
         added = [u * stride + v for u, v in sorted(mv.added)]
@@ -476,32 +525,30 @@ def _gather_tables(n: int, k: int) -> _Gather:
             kept = {canonical_edge((v - 1) % n, v), canonical_edge(v, (v + 1) % n)} - mv.removed
             flat += [u * stride + w for u, w in sorted(kept) + [e for e in mv.added if v in e]]
         after.append(flat + [0] * (12 - len(flat)))
+        # Edge x joins x and x + 1, so the edge (0, n - 1) is position n - 1.
+        pos = sorted(u if v == u + 1 else v for u, v in mv.removed)
+        if len(pos) == 2:
+            keys.append(pos + [0, 0])
+            continue
+        # A triple's moves come in pattern id order: search past the last one's.
+        pid = keys[-1][3] if keys and keys[-1][:3] == pos else 0
+        labels = [(x + d) % n for x in pos for d in (0, 1)]
+        while {canonical_edge(labels[x], labels[y]) for x, y in _PATTERNS[pid]} != mv.added:
+            pid += 1
+        keys.append(pos + [pid + 1])
     tables = []
-    for rows in (edges, ends, after):
-        table = np.array(rows, dtype=np.int32).T.copy()
+    for rows in (edges, ends, after, keys):
+        table = np.array(rows).T
+        # The least unsigned type that holds every entry: uint8 for k = 3.
+        table = np.ascontiguousarray(table, dtype=np.min_scalar_type(table.max()))
         table.flags.writeable = False
         tables.append(table)
     return _Gather(*tables)
 
 
-def _move_from_column(tour: Tour, column: np.ndarray) -> KMove:
-    """The move of one column of gather edge indices, on tour.
-
-    Index 0 is padding: a cached edge (u, v) has u < v, so its index is positive.
-    """
-    o = tour.order
-    stride = len(o) + 1
-    removed, added = (
-        frozenset(canonical_edge(o[f // stride], o[f % stride]) for f in map(int, half) if f)
-        for half in (column[:3], column[3:])
-    )
-    return KMove(removed, added)
-
-
-def _gathered_move(instance: Instance, tour: Tour, k: int, plusplus: bool) -> KMove | None:
-    """First accepted move by the gather tables, or None."""
-    tables = _gather_tables(instance.n, k)
-    A = _position_costs(instance, tour)
+def _gathered_key(A: np.ndarray, k: int, plusplus: bool) -> tuple | None:
+    """First accepted scan key on position costs A by the gather tables, or None."""
+    tables = _gather_tables(len(A) - 1, k)
     costs = A.ravel()
     r0, r1, r2, a0, a1, a2 = costs.take(tables.edges)
     gain = r0 + r1 + r2 - a0 - a1 - a2
@@ -510,14 +557,34 @@ def _gathered_move(instance: Instance, tour: Tour, k: int, plusplus: bool) -> KM
         zero = np.flatnonzero(gain[:first] == 0)
         if zero.size:
             heavy = np.diagonal(A, 1) == 2
-            isolated = np.append(heavy & np.roll(heavy, 1), False)  # by position
+            # By position: x is isolated when edges x - 1 and x cost 2, n never is.
+            isolated = np.concatenate((heavy[-1:] & heavy[:1], heavy[:-1] & heavy[1:], [False]))
             ends_heavy = costs.take(tables.after[:, zero]) == 2
             dz = (ends_heavy[0::2] & ends_heavy[1::2]).sum(axis=0)
             dz -= isolated.take(tables.ends[:, zero]).sum(axis=0)
             merging = np.flatnonzero(dz < 0)
             if merging.size:
                 first = int(zero[merging[0]])
-    return None if first is None else _move_from_column(tour, tables.edges[:, first])
+    if first is None:
+        return None
+    i, j, kk, pid = tables.keys[:, first].tolist()
+    return (i, j) if pid == 0 else (i, j, kk, pid)
+
+
+def _scan(n: int, k: int) -> Callable[[np.ndarray, int, bool], tuple | None]:
+    """The scan of k-moves on n vertices: _gathered_key or _least_key.
+
+    Both take the position-cost matrix, k and plusplus, and return the least
+    accepted key or None.
+    """
+    return _gathered_key if neighborhood_size(n, k) <= _GATHER_MAX else _least_key
+
+
+def _check_scan(n: int, k: int) -> None:
+    """Refuse a k that names no neighborhood on n vertices, and a scan over
+    the dense-table cap, before any table is built."""
+    _require_enumerable(n, k)
+    check_dense_size(n, _SCAN_BYTES_PER_ENTRY[k], f"the {k}-move scan")
 
 
 def find_improving(
@@ -529,15 +596,11 @@ def find_improving(
     fewer length-0 1-paths afterwards.
     """
     validate_tour(instance, tour)
-    _require_enumerable(instance.n, k)
-    check_dense_size(instance.n, _SCAN_BYTES_PER_ENTRY[k], f"the {k}-move scan")
-    if neighborhood_size(instance.n, k) <= _GATHER_MAX:
-        mv = _gathered_move(instance, tour, k, plusplus)
-    else:
-        key = _least_key(instance, tour, k, plusplus)
-        mv = None if key is None else _move_from_key(tour, key)
-    if mv is None:
+    _check_scan(instance.n, k)
+    key = _scan(instance.n, k)(_position_costs(instance, tour.order), k, plusplus)
+    if key is None:
         return None
+    mv = _move_from_key(tour, key)
     return replace(mv, gain=move_gain(instance, tour, mv))
 
 
@@ -578,17 +641,19 @@ def local_search(
             random.Random(seed).shuffle(order)
             start = Tour(tuple(order))
     validate_tour(instance, start)
-    _require_enumerable(instance.n, k)
-    tour = start
+    _check_scan(instance.n, k)
+    scan = _scan(instance.n, k)
+    order = np.array(start.order, dtype=np.intp)
     iterations = 0
     applied = 0
     while True:
         iterations += 1
-        mv = find_improving(instance, tour, k, plusplus)
-        if mv is None:
+        key = scan(_position_costs(instance, order), k, plusplus)
+        if key is None:
             break
-        tour = apply_move(tour, mv)
+        order = _reconnect(order, key)
         applied += 1
+    tour = Tour(tuple(order.tolist()))
     stats = SearchStats(
         iterations=iterations,
         moves_applied=applied,

@@ -264,6 +264,14 @@ class TestDenseCap:
         assert err.startswith("error: the 3-move scan on 6689 vertices needs about 1.0 GiB")
         assert err.count("\n") == 1
 
+    def test_solve_3_scan_one_over_cap(self, capsys, tmp_path):
+        # local_search refuses before it builds a position-cost table.
+        inst = tmp_path / "inst.txt"
+        inst.write_text("p12tsp 6689\ne 0 1\n", encoding="utf-8")
+        err = self.refused(capsys, ["solve", "--instance", str(inst)])
+        assert err.startswith("error: the 3-move scan on 6689 vertices needs about 1.0 GiB")
+        assert err.count("\n") == 1
+
     def test_gen_random_edge_set_over_cap(self, capsys):
         # The 36 MB cost matrix fits under the cap; ~1.8e7 drawn edges do not.
         argv = ["gen", "--family", "random", "--n", "6000", "--p", "1", "--seed", "1"]

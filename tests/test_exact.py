@@ -18,6 +18,7 @@ from kopt12 import (
     tour_cost,
     validate_tour,
 )
+from kopt12 import exact
 from kopt12.exact import _held_karp_bytes
 
 from conftest import instances
@@ -54,9 +55,12 @@ def test_held_karp_runs_past_sixteen_vertices():
     assert held_karp(inst).cost == 17
 
 
-@pytest.mark.parametrize("n", [16, 18])
+@pytest.mark.parametrize("n", [13, 16, 18])
 def test_held_karp_bytes_bound_the_peak(n):
+    # n = 13 takes the plan path; its plan is built inside the measured call.
+    assert (n <= exact._PLAN_MAX_N) == (n == 13)
     instance = random_instance(n, 0.5, n)
+    exact._plan.cache_clear()
     tracemalloc.start()
     try:
         held_karp(instance)
@@ -72,10 +76,21 @@ def test_methods_agree_and_return_valid_tours(instance):
     a = held_karp(instance)
     b = brute_force(instance)
     assert a.cost == b.cost
+    assert a.tour == b.tour
     for result in (a, b):
         validate_tour(instance, result.tour)
         assert tour_cost(instance, result.tour) == result.cost
         assert result.tour.order[0] == 0
+
+
+@pytest.mark.parametrize("n", [11, 12, 13, 14])
+def test_plan_and_loop_paths_agree(monkeypatch, n):
+    instances = [random_instance(n, p, n * 100 + s) for p in (0.2, 0.5, 0.8) for s in range(3)]
+    monkeypatch.setattr(exact, "_PLAN_MAX_N", n)
+    planned = [held_karp(x) for x in instances]
+    monkeypatch.setattr(exact, "_PLAN_MAX_N", n - 1)
+    looped = [held_karp(x) for x in instances]
+    assert planned == looped
 
 
 def test_optimum_is_a_lower_bound_for_all_tours(hexa):

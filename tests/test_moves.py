@@ -14,6 +14,7 @@ import random
 import tracemalloc
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -22,6 +23,7 @@ from kopt12 import (
     InvalidArgumentError,
     InvalidMoveError,
     KMove,
+    SearchStats,
     Tour,
     apply_move,
     canonical_edge,
@@ -34,6 +36,7 @@ from kopt12 import (
     format_kmove,
     gen_three_opt_lb,
     gen_three_opt_pp_lb,
+    gen_two_opt_lb,
     identity_tour,
     is_improving_pp,
     local_search,
@@ -47,11 +50,11 @@ from kopt12 import moves
 from kopt12.moves import (
     _PATTERN_ENDS,
     _gather_tables,
-    _gathered_move,
+    _gathered_key,
     _least_key,
-    _move_from_column,
     _move_from_key,
     _position_costs,
+    _reconnect,
     _score_terms,
     _triple_block,
 )
@@ -237,15 +240,17 @@ def _assert_scans_match(instance, tour, k, plusplus):
     """Check find_improving, the dense scan and the gather against the oracle.
 
     find_improving takes one of the two paths by neighborhood size, so both
-    are called directly.  Returns the oracle's move.
+    are called directly; the gather must return the dense scan's key.
+    Returns the oracle's move.
     """
     expected = find_improving_by_enumeration(instance, tour, k, plusplus)
     assert find_improving(instance, tour, k, plusplus) == expected
     bare = None if expected is None else replace(expected, gain=None)
-    key = _least_key(instance, tour, k, plusplus)
+    A = _position_costs(instance, tour.order)
+    key = _least_key(A, k, plusplus)
     assert (None if key is None else _move_from_key(tour, key)) == bare
     if neighborhood_size(instance.n, k) <= _GATHER_TEST_MAX:
-        assert _gathered_move(instance, tour, k, plusplus) == bare
+        assert _gathered_key(A, k, plusplus) == key
     return expected
 
 
@@ -293,16 +298,31 @@ def _gathered_sizes(k):
     )
 
 
+def _gathered_keys(n, k):
+    """The scan key of every column of the gather tables, in column order."""
+    return [
+        (i, j) if pid == 0 else (i, j, kk, pid)
+        for i, j, kk, pid in _gather_tables(n, k).keys.T.tolist()
+    ]
+
+
 @pytest.mark.parametrize("k", [2, 3])
 def test_gather_tables_decode_to_enumeration(k):
     for n in _gathered_sizes(k):
         tour = identity_tour(n)
         tables = _gather_tables(n, k)
+        keys = _gathered_keys(n, k)
         expected = list(enumerate_kmoves(tour, k))
         assert tables.edges.shape[1] == len(expected) == neighborhood_size(n, k)
         assert not any(t.flags.writeable for t in vars(tables).values())
         for column, mv in enumerate(expected):
-            assert _move_from_column(tour, tables.edges[:, column]) == mv
+            # Index 0 pads a 2-move's third edges: a cached edge (u, v) has u < v.
+            removed, added = (
+                {divmod(int(f), n + 1) for f in half if f}
+                for half in (tables.edges[:3, column], tables.edges[3:, column])
+            )
+            assert (removed, added) == (mv.removed, mv.added)
+            assert _move_from_key(tour, keys[column]) == mv
             # Each removed-edge end with its two edges on the moved tour.
             after = apply_move(tour, mv).edge_set
             ends = sorted({v for e in mv.removed for v in e})
@@ -316,14 +336,64 @@ def test_gather_tables_decode_to_enumeration(k):
 
 
 def test_gather_tables_fit_their_budget():
-    # 24 int32 indices per candidate; 17,674 candidates up to the cap take 1.6 MiB.
-    total = sum(
-        t.nbytes
-        for k in (2, 3)
-        for n in _gathered_sizes(k)
-        for t in vars(_gather_tables(n, k)).values()
+    # 24 indices and a 4-entry key per candidate, each table in the least
+    # unsigned type that holds it: 17,674 candidates up to the cap take 0.72 MiB.
+    tables = [
+        t for k in (2, 3) for n in _gathered_sizes(k) for t in vars(_gather_tables(n, k)).values()
+    ]
+    assert all(t.flags.c_contiguous and t.dtype.kind == "u" for t in tables)
+    assert sum(t.nbytes for t in tables) <= 2**20
+
+
+def _shuffled_tour(n, seed):
+    order = list(range(n))
+    random.Random(seed).shuffle(order)
+    return Tour(tuple(order))
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_reconnect_matches_apply_move(k):
+    # Every key of every move, on a canonical and on a shuffled order.
+    for n in range(5, 13):
+        keys = _gathered_keys(n, k)
+        assert len(keys) == neighborhood_size(n, k)
+        for tour in (identity_tour(n), _shuffled_tour(n, n * 10 + k)):
+            order = np.array(tour.order, dtype=np.intp)
+            for key in keys:
+                expected = apply_move(tour, _move_from_key(tour, key)).order
+                assert tuple(_reconnect(order, key).tolist()) == expected, (n, key)
+
+
+@pytest.mark.parametrize("plusplus", [False, True])
+@pytest.mark.parametrize("k, n", [(2, 9), (3, 9), (3, 13), (2, 14), (3, 14), (3, 20), (3, 100)])
+def test_local_search_follows_reference_chain(monkeypatch, k, n, plusplus):
+    # n = 9 and 13 scan k = 3 by the gather, 14 and up by blocks; p = 6/n.
+    seed = n * 10 + k + plusplus
+    instance = random_instance(n, 6 / n, seed)
+    start = _shuffled_tour(n, seed)
+    visited = []
+
+    def recording(order, key):
+        new = _reconnect(order, key)
+        visited.append(Tour(tuple(new.tolist())))
+        return new
+
+    monkeypatch.setattr(moves, "_reconnect", recording)
+    tour, stats = local_search(instance, start=start, k=k, plusplus=plusplus)
+    chain = []
+    mv = find_improving(instance, start, k, plusplus)
+    while mv is not None:
+        chain.append(apply_move(chain[-1] if chain else start, mv))
+        mv = find_improving(instance, chain[-1], k, plusplus)
+    assert len(chain) >= 2
+    assert visited == chain
+    assert tour == chain[-1]
+    assert stats == SearchStats(
+        iterations=len(chain) + 1,
+        moves_applied=len(chain),
+        final_cost=tour_cost(instance, tour),
+        final_zero_paths=count_zero_paths(instance, tour),
     )
-    assert total <= 2 * 2**20
 
 
 @pytest.mark.parametrize("plusplus", [False, True])
@@ -458,6 +528,23 @@ def test_scan_peak_within_byte_budget(plusplus, s):
     assert peak <= moves._SCAN_BYTES_PER_ENTRY[3] * instance.n**2
 
 
+@pytest.mark.parametrize("plusplus, per_entry", [(False, 8), (True, 10)])
+def test_pair_scan_peak_within_byte_budget(plusplus, per_entry):
+    # Plain peaks at 7 bytes per n^2 entry only if the scan drops the
+    # position costs once their term tables are built; ++ peaks at 9.3.
+    family = gen_two_opt_lb(400)
+    instance, tour = family.instance, family.tour
+    certify = certify_kpp_optimal if plusplus else certify_k_optimal
+    instance.cost_matrix  # cached, so only the scan is measured
+    tracemalloc.start()
+    try:
+        certify(instance, tour, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= per_entry * instance.n**2 <= moves._SCAN_BYTES_PER_ENTRY[2] * instance.n**2
+
+
 @pytest.mark.parametrize("plusplus", [False, True])
 @pytest.mark.parametrize("n", [48, 64])
 def test_multi_block_scan_matches_enumeration(n, plusplus):
@@ -497,7 +584,7 @@ def test_pp_scan_matches_enumeration_on_merging_family():
 def _score_by_key(instance, tour, plusplus):
     """Tabulated score of every k=3 candidate, by scan key."""
     n = instance.n
-    terms, adjacent = _score_terms(_position_costs(instance, tour), 3, plusplus)
+    terms, adjacent = _score_terms(_position_costs(instance, tour.order), 3, plusplus)
     pair = terms[0, 0] + terms[1, 1]
     patterns = [_triple_block(terms, ends, 0, n) for ends in _PATTERN_ENDS]
     out = {}
