@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Instance, PathDecomposition, Tour, canonical_edge, validate_tour
+from .core import Instance, PathDecomposition, Tour, _heavy_edges, canonical_edge
 from .errors import InvalidArgumentError
 from .moves import KMove, find_improving, neighborhood_size
 
@@ -66,23 +66,21 @@ def find_forbidden_constellation(
     the side of p.  All six vertices are distinct.  A 3-optimal tour
     cannot contain one.
     """
-    validate_tour(instance, tour)
+    heavy = _heavy_edges(instance, tour).tolist()
     n = instance.n
     if n < 6:
         return None
     o = tour.order
     c = instance.cost_matrix
     for pu in range(n):
-        u = o[pu]
-        p = o[(pu + 1) % n]
-        if c[u, p] != 2:
+        if not heavy[pu]:
             continue
+        u, p = o[pu], o[(pu + 1) % n]
         for off in range(3, n):
             pv = (pu + off) % n
-            v = o[pv]
-            q = o[(pv - 1) % n]
-            if c[v, q] != 2:
+            if not heavy[pv - 1]:
                 continue
+            v, q = o[pv], o[pv - 1]
             for s in range(1, off - 1):
                 a = o[(pu + s) % n]
                 b = o[(pu + s + 1) % n]

@@ -194,12 +194,17 @@ def validate_tour(instance: Instance, tour: Tour) -> None:
         raise WrongLengthError(f"tour has {tour.n} entries, expected {instance.n}")
 
 
+def _heavy_edges(instance: Instance, tour: Tour) -> np.ndarray:
+    """Bool mask over the tour's edges: entry i is whether the edge from
+    order[i] to order[i+1] (order[0] for the last) costs 2."""
+    validate_tour(instance, tour)
+    o = np.array(tour.order + tour.order[:1], dtype=np.intp)
+    return instance.cost_matrix[o[:-1], o[1:]] == 2
+
+
 def tour_cost(instance: Instance, tour: Tour) -> int:
     """Total edge cost of the tour; always between n and 2n."""
-    validate_tour(instance, tour)
-    c = instance.cost_matrix
-    o = np.fromiter(tour.order, dtype=np.intp, count=instance.n)
-    return int(c[o, np.roll(o, -1)].sum())
+    return instance.n + int(np.count_nonzero(_heavy_edges(instance, tour)))
 
 
 @dataclass(frozen=True)
@@ -221,29 +226,14 @@ class PathDecomposition:
         return sum(1 for p in self.paths if len(p) == 1)
 
 
-def _canonical_path(seq: list[int]) -> tuple[int, ...]:
-    fwd = tuple(seq)
-    rev = tuple(reversed(seq))
-    return fwd if fwd <= rev else rev
-
-
 def one_path_decomposition(instance: Instance, tour: Tour) -> PathDecomposition:
     """Split the tour at its cost-2 edges into maximal cost-1 segments."""
-    validate_tour(instance, tour)
-    o = tour.order
-    n = len(o)
-    c = instance.cost_matrix
-    heavy = [i for i in range(n) if c[o[i], o[(i + 1) % n]] == 2]
+    heavy = np.flatnonzero(_heavy_edges(instance, tour)).tolist()
     if not heavy:
         return PathDecomposition(paths=(), whole_cycle=True)
-    paths: list[tuple[int, ...]] = []
-    for idx in range(len(heavy)):
-        start = (heavy[idx] + 1) % n
-        stop = heavy[(idx + 1) % len(heavy)]
-        seq = [o[start]]
-        i = start
-        while i != stop:
-            i = (i + 1) % n
-            seq.append(o[i])
-        paths.append(_canonical_path(seq))
-    return PathDecomposition(paths=tuple(sorted(paths)))
+    # Each path runs from just past one heavy edge to the start of the next,
+    # read in the doubled order so that the last path wraps.
+    o = tour.order * 2
+    stops = heavy[1:] + [heavy[0] + instance.n]
+    paths = (o[a + 1 : b + 1] for a, b in zip(heavy, stops))
+    return PathDecomposition(paths=tuple(sorted(min(p, p[::-1]) for p in paths)))

@@ -23,7 +23,7 @@ from math import comb
 
 import numpy as np
 
-from .core import Instance, Tour, check_dense_bytes, cycle_from_edges
+from .core import Instance, Tour, check_dense_bytes
 from .errors import SizeExceededError
 
 BRUTE_FORCE_LIMIT = 10
@@ -137,7 +137,9 @@ def held_karp(instance: Instance) -> ExactResult:
         rev.append(last)
         mask = pmask
     order = (0,) + tuple(v + 1 for v in reversed(rev))
-    return ExactResult(Tour(cycle_from_edges(Tour(order).edges())), cost, "held-karp")
+    if order[1] > order[-1]:
+        order = (0,) + order[:0:-1]
+    return ExactResult(Tour(order), cost, "held-karp")
 
 
 def brute_force(instance: Instance) -> ExactResult:
@@ -162,5 +164,4 @@ def brute_force(instance: Instance) -> ExactResult:
             best_cost = total
             best = perm
     assert best is not None and best_cost is not None
-    tour = Tour(cycle_from_edges(Tour((0,) + best).edges()))
-    return ExactResult(tour, best_cost, "brute-force")
+    return ExactResult(Tour((0,) + best), best_cost, "brute-force")

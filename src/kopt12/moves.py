@@ -69,6 +69,7 @@ from .core import (
     Edge,
     Instance,
     Tour,
+    _heavy_edges,
     canonical_edge,
     check_dense_size,
     cost_edge,
@@ -215,11 +216,8 @@ def apply_move(tour: Tour, move: KMove) -> Tour:
 
 def count_zero_paths(instance: Instance, tour: Tour) -> int:
     """Number of 1-paths of length 0 (vertices with two cost-2 tour edges)."""
-    validate_tour(instance, tour)
-    o = np.fromiter(tour.order, dtype=np.intp, count=instance.n)
-    e = instance.cost_matrix[o, np.roll(o, -1)]
-    heavy = e == 2
-    return int((heavy & np.roll(heavy, 1)).sum())
+    heavy = _heavy_edges(instance, tour)
+    return int(np.count_nonzero(heavy[:-1] & heavy[1:])) + int(heavy[-1] & heavy[0])
 
 
 def is_improving_pp(instance: Instance, tour: Tour, move: KMove) -> bool:
@@ -644,19 +642,20 @@ def local_search(
     _check_scan(instance.n, k)
     scan = _scan(instance.n, k)
     order = np.array(start.order, dtype=np.intp)
-    iterations = 0
-    applied = 0
-    while True:
-        iterations += 1
+    # Every accepted move lowers (n+1) * cost + isolated vertices by at least
+    # 1, from at most 2n^2 + 3n to at least n^2 + n: n^2 + 2n moves at most.
+    limit = instance.n**2 + 2 * instance.n + 1
+    for iterations in range(1, limit + 1):
         key = scan(_position_costs(instance, order), k, plusplus)
         if key is None:
             break
         order = _reconnect(order, key)
-        applied += 1
+    else:
+        raise InvalidMoveError(f"descent still finds moves after {limit} iterations")
     tour = Tour(tuple(order.tolist()))
     stats = SearchStats(
         iterations=iterations,
-        moves_applied=applied,
+        moves_applied=iterations - 1,
         final_cost=tour_cost(instance, tour),
         final_zero_paths=count_zero_paths(instance, tour),
     )

@@ -81,6 +81,7 @@ def test_methods_agree_and_return_valid_tours(instance):
         validate_tour(instance, result.tour)
         assert tour_cost(instance, result.tour) == result.cost
         assert result.tour.order[0] == 0
+        assert result.tour.order[1] < result.tour.order[-1]
 
 
 @pytest.mark.parametrize("n", [11, 12, 13, 14])

@@ -29,6 +29,7 @@ from kopt12 import (
     canonical_edge,
     certify_k_optimal,
     certify_kpp_optimal,
+    cost_edge,
     count_zero_paths,
     enumerate_kmoves,
     find_improving,
@@ -667,6 +668,17 @@ def test_count_zero_paths_matches_decomposition(pair):
     assert count_zero_paths(instance, tour) == dec.zero_path_count
 
 
+@given(instance_tour_pairs(min_n=4, max_n=9))
+def test_count_zero_paths_counts_vertices_between_cost_2_edges(pair):
+    instance, tour = pair
+    o, n = tour.order, tour.n
+    isolated = sum(
+        cost_edge(instance, o[i - 1], o[i]) == 2 and cost_edge(instance, o[i], o[(i + 1) % n]) == 2
+        for i in range(n)
+    )
+    assert count_zero_paths(instance, tour) == isolated
+
+
 def test_pp_acceptance_cases(merge_instance):
     tour = identity_tour(8)
     merging = KMove(frozenset({(0, 1), (3, 4)}), frozenset({(0, 3), (1, 4)}))
@@ -695,6 +707,14 @@ def test_local_search_reaches_certified_optimum():
             assert stats.iterations == stats.moves_applied + 1
             certifier = certify_kpp_optimal if plusplus else certify_k_optimal
             assert certifier(instance, tour, 3).verdict == "optimal"
+
+
+def test_local_search_refuses_a_descent_that_makes_no_progress(monkeypatch, hexa):
+    # A reconnection that leaves the order as it was would accept the same
+    # move forever; the descent bound turns that into an error.
+    monkeypatch.setattr(moves, "_reconnect", lambda order, key: order)
+    with pytest.raises(InvalidMoveError, match="after 49 iterations"):
+        local_search(hexa, k=3)
 
 
 def test_local_search_start_tour_handling(hexa):
