@@ -270,11 +270,14 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_certify(args: argparse.Namespace) -> int:
+    family_lines = []
     if args.family:
         if args.instance or args.tour:
             raise InvalidArgumentError("give --family or --instance and --tour, not both")
         out = _family_member(args)
         instance, tour = out.instance, out.tour
+        ratio = Fraction(tour_cost(instance, tour), tour_cost(instance, out.reference_tour))
+        family_lines = [f"ratio={ratio}", f"bound={FAMILIES[args.family].bound}"]
     else:
         if not args.instance or not args.tour:
             raise InvalidArgumentError("need --instance and --tour, or --family")
@@ -292,7 +295,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     ]
     if cert.witness is not None:
         lines.append("witness=" + format_kmove(cert.witness))
-    _emit(lines, None)
+    _emit(lines + family_lines, None)
     if args.expect and args.expect != cert.verdict:
         print(f"expected verdict {args.expect}, got {cert.verdict}", file=sys.stderr)
         return 1

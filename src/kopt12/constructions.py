@@ -19,8 +19,10 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, NamedTuple
 
+from .analysis import BOUND_PLAIN, BOUND_PP
 from .core import (
     MIN_N,
     Edge,
@@ -222,12 +224,13 @@ class Family(NamedTuple):
     size: str  # the one size option the generator takes: "n" or "s"
     generate: Callable[[int], FamilyOutput]
     period: int | None  # vertices per template block; None if not block-built
+    bound: Fraction  # the paper's ratio bound, which the family's ratio tends to
 
 
 FAMILIES: dict[str, Family] = {
-    "two-opt-lb": Family("n", gen_two_opt_lb, None),
-    "three-opt-lb": Family("s", gen_three_opt_lb, 8),
-    "three-opt-pp-lb": Family("s", gen_three_opt_pp_lb, 6),
+    "two-opt-lb": Family("n", gen_two_opt_lb, None, Fraction(3, 2)),
+    "three-opt-lb": Family("s", gen_three_opt_lb, 8, BOUND_PLAIN),
+    "three-opt-pp-lb": Family("s", gen_three_opt_pp_lb, 6, BOUND_PP),
 }
 
 

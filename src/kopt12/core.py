@@ -105,13 +105,29 @@ class Instance:
         return m
 
     @cached_property
+    def cost1_degree(self) -> np.ndarray:
+        """For each vertex, the number of cost-1 edges at it."""
+        return np.count_nonzero(self.cost_matrix == 1, axis=1)
+
+    @cached_property
+    def cost1_csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """Cost-1 neighbours as compressed sparse rows (indptr, indices): the
+        neighbours of v, ascending, are indices[indptr[v]:indptr[v + 1]].
+
+        It takes 16 bytes per cost-1 edge, a fraction of what cost1 holds.
+        """
+        # The flat indices of the cost-1 entries, row by row: u * n + v.
+        flat = np.flatnonzero(self.cost_matrix == 1)
+        indptr = np.zeros(self.n + 1, dtype=np.intp)
+        np.cumsum(np.bincount(flat // self.n, minlength=self.n), out=indptr[1:])
+        return indptr, flat % self.n
+
+    @cached_property
     def cost1_neighbors(self) -> tuple[tuple[int, ...], ...]:
         """For each vertex, the sorted vertices joined to it by a cost-1 edge."""
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in sorted(self.cost1):
-            adj[u].append(v)
-            adj[v].append(u)
-        return tuple(tuple(sorted(a)) for a in adj)
+        indptr, indices = self.cost1_csr
+        flat = indices.tolist()
+        return tuple(tuple(flat[a:b]) for a, b in zip(indptr[:-1].tolist(), indptr[1:].tolist()))
 
 
 def cost_edge(instance: Instance, u: int, v: int) -> int:
@@ -194,12 +210,20 @@ def validate_tour(instance: Instance, tour: Tour) -> None:
         raise WrongLengthError(f"tour has {tour.n} entries, expected {instance.n}")
 
 
+def _order_heavy(instance: Instance, order: tuple[int, ...] | np.ndarray) -> np.ndarray:
+    """Bool mask over the edges of a tour order of instance.n vertices:
+    entry i is whether the edge from order[i] to order[i+1] (order[0] for
+    the last) costs 2."""
+    ends = np.empty(len(order) + 1, dtype=np.intp)
+    ends[:-1] = order
+    ends[-1] = order[0]
+    return instance.cost_matrix[ends[:-1], ends[1:]] == 2
+
+
 def _heavy_edges(instance: Instance, tour: Tour) -> np.ndarray:
-    """Bool mask over the tour's edges: entry i is whether the edge from
-    order[i] to order[i+1] (order[0] for the last) costs 2."""
+    """_order_heavy of the tour's order, once the tour is checked."""
     validate_tour(instance, tour)
-    o = np.array(tour.order + tour.order[:1], dtype=np.intp)
-    return instance.cost_matrix[o[:-1], o[1:]] == 2
+    return _order_heavy(instance, tour.order)
 
 
 def tour_cost(instance: Instance, tour: Tour) -> int:

@@ -42,26 +42,38 @@ identity tour, in its order, so one take from the tour's position-cost
 matrix gives every candidate's gain, and the first with gain >= 1 is the
 plain answer.  Under ++ dz is computed only for the zero-gain candidates
 ahead of it, and the first of those with dz < 0, if any, is taken instead.
-The same arrays store each move's scan key, so both scans return a key.
-The generator with is_improving_pp is the reference semantics, and the
-tests check both scans against it.
+The same arrays store each move's scan key, so every scan returns a key.
+
+Under the plain predicate a larger neighborhood may be scanned from the
+tour's l cost-2 edges instead (the anchored scan).  An accepted move gains
+h_r - h_a >= 1, its heavy removed edges less its heavy added ones, so it
+removes a heavy edge with a light added edge at it: the scan walks from
+each heavy edge along the cost-1 neighbour lists of Bentley (1992), as in
+the gain criterion of Lin & Kernighan (1973), in O(l d^2) candidates for
+light degree at most d, and never builds the (n+1)^2 position costs.  Each
+step takes whichever of the anchored and blocked scans an O(l) estimate of
+the walks finds cheaper, and always the anchored one when the blocked
+tables would pass the dense-table cap.  The generator with
+is_improving_pp is the reference semantics, and the tests check every scan
+against it.
 
 local_search descends on an int array of the tour order, the array
-representation of Bentley (1992): each step builds the position-cost
-matrix, takes the least accepted key from the scan, and applies it by
-segment reversals and exchanges (_reconnect) followed by one roll and at
-most one flip back to the canonical order that apply_move returns.  It
-builds a Tour only for its result.  find_improving turns the key into a
-KMove with its gain; it, apply_move and enumerate_kmoves are the oracles
-the tests hold the descent to.
+representation of Bentley (1992): each step takes the least accepted key
+from the scan and applies it by segment reversals and exchanges
+(_reconnect) followed by one roll and at most one flip back to the
+canonical order that apply_move returns.  It builds a Tour only for its
+result.  find_improving turns the key into a KMove with its gain; it,
+apply_move and enumerate_kmoves are the oracles the tests hold the descent
+to.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import random
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -69,8 +81,11 @@ from .core import (
     Edge,
     Instance,
     Tour,
+    DENSE_MAX_BYTES,
     _heavy_edges,
+    _order_heavy,
     canonical_edge,
+    check_dense_bytes,
     check_dense_size,
     cost_edge,
     cycle_from_edges,
@@ -234,7 +249,9 @@ def is_improving_pp(instance: Instance, tour: Tour, move: KMove) -> bool:
 
 # ---------------------------------------------------------------------------
 # Blocked neighborhood scan, for neighborhoods of more than _GATHER_MAX
-# candidates.
+# candidates under ++, and under the plain predicate when it is estimated
+# cheaper than the anchored scan.  It is the oracle the anchored scan is
+# tested against.
 #
 # Candidates are keyed by removed-edge positions: (i, j) for a pair and
 # (i, j, k, pattern id) for a triple, compared as tuples.  The least
@@ -569,20 +586,262 @@ def _gathered_key(A: np.ndarray, k: int, plusplus: bool) -> tuple | None:
     return (i, j) if pid == 0 else (i, j, kk, pid)
 
 
-def _scan(n: int, k: int) -> Callable[[np.ndarray, int, bool], tuple | None]:
-    """The scan of k-moves on n vertices: _gathered_key or _least_key.
+# ---------------------------------------------------------------------------
+# Anchored scan of the plain predicate.
+#
+# Every edge costs 1 + [heavy], so a move's gain is h_r - h_a, its heavy
+# removed edges less its heavy added ones, and an accepted move removes a
+# heavy edge.  The removed and added edges of a move alternate around one
+# cycle through their ends.  Each removed edge is entered by an added edge at
+# one end (its in-end, 0 for t[x] and 1 for t[x+1]) and left at the other.
+# Seen from a heavy removed edge, an accepted move is one of:
+#
+#   * a 2-move with a light added edge at the heavy edge: both added edges
+#     are light, or both removed edges are heavy;
+#   * case (a), a triple with at least two light added edges: some heavy
+#     removed edge is followed around the cycle, in one direction, by two
+#     light added edges;
+#   * case (b), a triple with one light added edge: all three removed edges
+#     are heavy, and every such triple has gain 3 - 2 and is accepted.
+#
+# So the scan leaves each end of each heavy tour edge x along each of its
+# light edges, to an end of the tour edge x1 on either side of the vertex it
+# reaches.  With equal ends that is a 2-move, closed by the added edge that
+# joins the other ends.  A triple goes on from the other end of x1 to x2:
+# along a light edge, on either side of the vertex it reaches (case a), or,
+# when x1 is heavy, to a heavy x2 (case b).  Keys lead with the least
+# position, so in case (b) the least valid x2 is the first of the heavy
+# positions below, between or above x and x1 that gives a valid triple; in
+# each range only its first can be invalid while a later one is valid (by
+# lying next to x or x1), so the first two of each range are tried.  That
+# is O(l d^2) candidates from l heavy edges and light degree at most d, with
+# no (n+1)^2 position costs, against the n^2 tables and n^3 triples of a
+# blocked scan.  Each candidate's gain is exact, and the accepted ones map
+# to their scan keys, of which the least is returned: the blocked scan's key.
+#
+# Candidates are made and scored a chunk of at most _ANCHOR_CHUNK at a time
+# (one anchor or walk whose light edges pass that is a chunk of its own), so
+# a scan holds _ANCHOR_BYTES_PER_CANDIDATE bytes per candidate of one chunk.
+# ---------------------------------------------------------------------------
 
-    Both take the position-cost matrix, k and plusplus, and return the least
-    accepted key or None.
+# Most candidates made and scored at once by the anchored scan.
+_ANCHOR_CHUNK = 1 << 16
+# Peak bytes of an anchored scan per candidate of one chunk, rounded up from
+# tracemalloc: 125 on the three-opt-lb certificate at n = 10,000, 141 to 195
+# from shuffled starts at n = 400 to 2,000, p = 0.005 to 0.3.
+_ANCHOR_BYTES_PER_CANDIDATE = 256
+# Blocked-scan entries that cost as much as one anchored candidate, by k:
+# the plain scan above _GATHER_MAX is anchored when its estimated candidates
+# times this are fewer than n^2.  Measured on shuffled-start descents at
+# n = 60 to 600: about 80 ns a candidate against 5 ns an entry for k = 2,
+# 130 ns against 33 ns for k = 3.
+_ANCHOR_COST = {2: 16, 3: 4}
+# Key pattern id by a triple's adjacency kind (1: i and j adjacent, 2: j and
+# k adjacent, 4: the wrap pair, i = 0 and k = n - 1) and its pattern.  The
+# two removed edges of an adjacent pair share a vertex, so two patterns add
+# the same edges, numbered as the generator yields them, and the other two
+# add a tour edge; with two adjacencies no move is left.
+_PID_BY_KIND = np.zeros((8, 5), dtype=np.intp)
+_PID_BY_KIND[0] = range(5)
+_PID_BY_KIND[1, [2, 4]] = 2
+_PID_BY_KIND[2, [2, 3]] = 2
+_PID_BY_KIND[4, [1, 2]] = 1
+
+
+def _walk_patterns() -> np.ndarray:
+    """Pattern id, or 0 for a walk that is no pattern, of each walk through
+    removed edges of ranks r0, r1, r2 entered at ends a0, a1, a2, at index
+    8 (3 r0 + r1) + 4 a0 + 2 a1 + a2."""
+    table = np.zeros(72, dtype=np.intp)
+    for ranks in itertools.permutations(range(3)):
+        for ins in itertools.product((0, 1), repeat=3):
+            # Pattern labels: end e of the edge of rank r is 2r + e.
+            added = {
+                frozenset((2 * ranks[s] + 1 - ins[s], 2 * ranks[s - 2] + ins[s - 2]))
+                for s in range(3)
+            }
+            for pid, pattern in enumerate(_PATTERNS, 1):
+                if added == {frozenset(p) for p in pattern}:
+                    table[8 * (3 * ranks[0] + ranks[1]) + 4 * ins[0] + 2 * ins[1] + ins[2]] = pid
+    return table
+
+
+_WALK_PATTERN = _walk_patterns()
+
+
+def _key_code(n: int, i: np.ndarray, j: np.ndarray, k1, pid) -> np.ndarray:
+    """Integer codes that order as scan keys: (i, j) has k1 = pid = 0, and
+    (i, j, k, pid) has k1 = k + 1."""
+    return ((i * n + j) * (n + 1) + k1) * 5 + pid
+
+
+def _least_code(best: int, codes: np.ndarray) -> int:
+    return min(best, int(codes.min())) if codes.size else best
+
+
+def _key_from_code(n: int, code: int) -> tuple:
+    rest, pid = divmod(code, 5)
+    rest, k1 = divmod(rest, n + 1)
+    i, j = divmod(rest, n)
+    return (i, j) if k1 == 0 else (i, j, k1 - 1, pid)
+
+
+def _triple_codes(n: int, walk: tuple[np.ndarray, ...], ins: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Key codes of the valid triples among walks through positions walk[s]
+    entered at ends ins[s], s = 0, 1, 2."""
+    p0, p1, p2 = walk
+    r0 = (p0 > p1).astype(np.intp) + (p0 > p2)
+    r1 = (p1 > p0).astype(np.intp) + (p1 > p2)
+    pattern = _WALK_PATTERN[8 * (3 * r0 + r1) + 4 * ins[0] + 2 * ins[1] + ins[2]]
+    i = np.minimum(np.minimum(p0, p1), p2)
+    k = np.maximum(np.maximum(p0, p1), p2)
+    j = p0 + p1 + p2 - i - k
+    kind = 1 * (j == i + 1) + 2 * (k == j + 1) + 4 * ((i == 0) & (k == n - 1))
+    pid = _PID_BY_KIND[kind, pattern]
+    ok = (i < j) & (j < k) & (pid > 0)
+    return _key_code(n, i[ok], j[ok], k[ok] + 1, pid[ok])
+
+
+def _light_steps(instance: Instance, vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(row, v) for every cost-1 neighbour v of each vertices[row], by row."""
+    indptr, light = instance.cost1_csr
+    start = indptr[vertices]
+    count = indptr[vertices + 1] - start
+    row = np.repeat(np.arange(len(vertices)), count)
+    # Entry t of the result is light[start[row] + t - (entries before row)].
+    start -= np.cumsum(count) - count
+    return row, light[start[row] + np.arange(len(row))]
+
+
+def _chunks(weights: np.ndarray) -> Iterator[slice]:
+    """Consecutive slices whose weights sum to at most _ANCHOR_CHUNK, or
+    that hold one item of larger weight."""
+    ends = np.cumsum(weights)
+    lo = 0
+    while lo < len(ends):
+        done = int(ends[lo - 1]) if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, done + _ANCHOR_CHUNK, side="right")))
+        yield slice(lo, hi)
+        lo = hi
+
+
+def _anchored_candidates(instance: Instance, order: np.ndarray, heavy: np.ndarray, k: int) -> float:
+    """Estimated candidates of the anchored scan, in O(l): the light edges at
+    the heavy edges' ends, times the walks each starts for k = 3."""
+    degree = instance.cost1_degree
+    x = np.flatnonzero(heavy)
+    steps = int(degree[order[x]].sum() + degree[order[(x + 1) % len(order)]].sum())
+    return steps if k == 2 else 4 * steps * degree.mean()
+
+
+def _anchored_key(instance: Instance, order: np.ndarray, heavy: np.ndarray, k: int) -> tuple | None:
+    """Least accepted plain scan key of the tour order, or None, from walks
+    that start at its heavy edges (heavy from _order_heavy)."""
+    n = instance.n
+    hp = np.flatnonzero(heavy)
+    if not hp.size:
+        return None
+    l = len(hp)
+    cost = instance.cost_matrix
+    indptr = instance.cost1_csr[0]
+    heavy = heavy.view(np.int8)
+    o2 = np.concatenate((order, order))  # end e of position x is o2[x + e]
+    pos = np.empty(n, dtype=np.intp)
+    pos[order] = np.arange(n)
+    # Anchors: heavy x left at end e, toward x1 entered at end a1 = e (a
+    # 2-move or a triple) or, for k = 3, a1 = 1 - e (a triple).
+    a = np.arange(2 * l * (k - 1))
+    ax, ae = hp[a % l], (a // l) % 2
+    aa = ae ^ (a >= 2 * l)
+    w = o2[ax + ae]
+    # Key codes lead with i times this, so no key has the code `none`.
+    per_lead = 5 * n * (n + 1)
+    best = none = n * per_lead
+    for group in _chunks(indptr[w + 1] - indptr[w]):
+        row, v1 = _light_steps(instance, w[group])
+        x, e, a1 = ax[group][row], ae[group][row], aa[group][row]
+        x1 = pos[v1] - a1
+        x1 %= n
+        v2 = o2[x1 + 1 - a1]  # where x1 is left
+        u = o2[x + 1 - e]  # where x is entered
+        # Costs of x and x1 less that of the light edge joining them.
+        g1 = heavy[x] + heavy[x1] + 1
+        pair = (a1 == e) & ((x1 - x + 1) % n > 2) & (g1 > cost[v2, u])
+        lo, hi = np.minimum(x, x1)[pair], np.maximum(x, x1)[pair]
+        best = _least_code(best, _key_code(n, lo, hi, 0, 0))
+        if k == 2:
+            continue
+        for chunk in _chunks(2 * (indptr[v2 + 1] - indptr[v2]) + 12 * heavy[x1]):
+            cx, cx1, cv2 = x[chunk], x1[chunk], v2[chunk]
+            # Case (a): a light edge from v2 to x2, entered at end a2.
+            r, v3 = _light_steps(instance, cv2)
+            p3 = pos[v3]
+            r = [r, r]
+            x2 = [p3, p3 - 1]
+            a2 = [np.zeros_like(p3), np.ones_like(p3)]
+            # Case (b): heavy x1, and x2 the first two heavy positions below,
+            # between and above x and x1, entered at either end.
+            rb = np.flatnonzero(heavy[cx1])
+            if rb.size:
+                lo = np.minimum(cx[rb], cx1[rb])
+                hi = cx[rb] + cx1[rb] - lo
+                # Indices into hp of the first heavy position of each range.
+                first = np.vstack(([0 * rb], np.searchsorted(hp, (lo, hi), "right")))
+                zb = hp[np.minimum(np.vstack((first, first + 1)), l - 1)].ravel()
+                r += [np.concatenate([rb] * 6)] * 2
+                x2 += [zb, zb]
+                a2 += [np.zeros_like(zb), np.ones_like(zb)]
+            r, x2, a2 = (np.concatenate(parts) for parts in (r, x2, a2))
+            x2 %= n
+            # The gain less 1: g1, plus the cost of x2, less its two added edges.
+            gain = g1[chunk][r] + heavy[x2]
+            gain -= cost[cv2[r], o2[x2 + a2]]
+            gain -= cost[o2[x2 + 1 - a2], u[chunk][r]]
+            ok = np.flatnonzero(gain >= 0)
+            r, x2, a2 = r[ok], x2[ok], a2[ok]
+            walk = (cx[r], cx1[r], x2)
+            # Only a triple that leads with a position up to the least key's can be less.
+            near = np.minimum(np.minimum(walk[0], walk[1]), x2) <= best // per_lead
+            ins = ((1 - e[chunk])[r][near], a1[chunk][r][near], a2[near])
+            best = _least_code(best, _triple_codes(n, tuple(p[near] for p in walk), ins))
+    return None if best == none else _key_from_code(n, best)
+
+
+def _scan_key(instance: Instance, order: np.ndarray, k: int, plusplus: bool) -> tuple | None:
+    """Least accepted scan key of the tour order (an int array), or None, by
+    the gathered scan for small neighborhoods and otherwise by the blocked
+    scan, or under the plain predicate by the anchored one when it is
+    estimated cheaper or the blocked scan would pass the dense-table cap."""
+    n = instance.n
+    if neighborhood_size(n, k) <= _GATHER_MAX:
+        return _gathered_key(_position_costs(instance, order), k, plusplus)
+    if not plusplus:
+        heavy = _order_heavy(instance, order)
+        if _blocked_over_cap(n, k) or (
+            _ANCHOR_COST[k] * _anchored_candidates(instance, order, heavy, k) < n * n
+        ):
+            return _anchored_key(instance, order, heavy, k)
+    return _least_key(_position_costs(instance, order), k, plusplus)
+
+
+def _blocked_over_cap(n: int, k: int) -> bool:
+    """Whether the blocked k-move scan on n vertices would pass the dense-table cap."""
+    return n * n * _SCAN_BYTES_PER_ENTRY[k] > DENSE_MAX_BYTES
+
+
+def _check_scan(n: int, k: int, plusplus: bool) -> None:
+    """Refuse a k that names no neighborhood on n vertices, and a scan whose
+    tables would pass the dense-table cap, before any table is built.
+
+    A plain scan whose blocked tables would pass it is anchored instead.
     """
-    return _gathered_key if neighborhood_size(n, k) <= _GATHER_MAX else _least_key
-
-
-def _check_scan(n: int, k: int) -> None:
-    """Refuse a k that names no neighborhood on n vertices, and a scan over
-    the dense-table cap, before any table is built."""
     _require_enumerable(n, k)
-    check_dense_size(n, _SCAN_BYTES_PER_ENTRY[k], f"the {k}-move scan")
+    if plusplus or not _blocked_over_cap(n, k):
+        check_dense_size(n, _SCAN_BYTES_PER_ENTRY[k], f"the {k}-move scan")
+    else:
+        # One chunk, or one anchor or walk of at most 2n + 12 candidates.
+        need = _ANCHOR_BYTES_PER_CANDIDATE * max(_ANCHOR_CHUNK, 2 * n + 12)
+        check_dense_bytes(need, n, f"the anchored {k}-move scan")
 
 
 def find_improving(
@@ -594,8 +853,8 @@ def find_improving(
     fewer length-0 1-paths afterwards.
     """
     validate_tour(instance, tour)
-    _check_scan(instance.n, k)
-    key = _scan(instance.n, k)(_position_costs(instance, tour.order), k, plusplus)
+    _check_scan(instance.n, k, plusplus)
+    key = _scan_key(instance, np.array(tour.order, dtype=np.intp), k, plusplus)
     if key is None:
         return None
     mv = _move_from_key(tour, key)
@@ -639,14 +898,13 @@ def local_search(
             random.Random(seed).shuffle(order)
             start = Tour(tuple(order))
     validate_tour(instance, start)
-    _check_scan(instance.n, k)
-    scan = _scan(instance.n, k)
+    _check_scan(instance.n, k, plusplus)
     order = np.array(start.order, dtype=np.intp)
     # Every accepted move lowers (n+1) * cost + isolated vertices by at least
     # 1, from at most 2n^2 + 3n to at least n^2 + n: n^2 + 2n moves at most.
     limit = instance.n**2 + 2 * instance.n + 1
     for iterations in range(1, limit + 1):
-        key = scan(_position_costs(instance, order), k, plusplus)
+        key = _scan_key(instance, order, k, plusplus)
         if key is None:
             break
         order = _reconnect(order, key)

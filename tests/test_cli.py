@@ -252,15 +252,18 @@ class TestDenseCap:
         tour.write_text(f"tour {n}\n" + " ".join(map(str, range(n))) + "\n", encoding="utf-8")
         return ["certify", "--instance", str(inst), "--tour", str(tour), "--k", str(k)]
 
+    # The blocked scan's cap binds the ++ predicate only: a plain scan past
+    # it is anchored on the tour's cost-2 edges (see CERTIFY_GOLDEN).
+
     def test_certify_scan_over_cap(self, capsys, tmp_path):
         # The 144 MB cost matrix fits under the cap; the 2-move scan tables do not.
-        err = self.refused(capsys, self.certify_argv(tmp_path, 12000, 2))
+        err = self.refused(capsys, self.certify_argv(tmp_path, 12000, 2) + ["--plus-plus"])
         assert err.startswith("error: the 2-move scan on 12000 vertices needs about 1.3 GiB")
 
     def test_certify_3_scan_one_over_cap(self, capsys, tmp_path):
-        # 6,688 vertices is the largest 3-move scan the cap admits.
+        # 6,688 vertices is the largest 3-move ++ scan the cap admits.
         check_dense_size(6688, moves._SCAN_BYTES_PER_ENTRY[3])
-        err = self.refused(capsys, self.certify_argv(tmp_path, 6689, 3))
+        err = self.refused(capsys, self.certify_argv(tmp_path, 6689, 3) + ["--plus-plus"])
         assert err.startswith("error: the 3-move scan on 6689 vertices needs about 1.0 GiB")
         assert err.count("\n") == 1
 
@@ -268,9 +271,31 @@ class TestDenseCap:
         # local_search refuses before it builds a position-cost table.
         inst = tmp_path / "inst.txt"
         inst.write_text("p12tsp 6689\ne 0 1\n", encoding="utf-8")
-        err = self.refused(capsys, ["solve", "--instance", str(inst)])
+        err = self.refused(capsys, ["solve", "--instance", str(inst), "--plus-plus"])
         assert err.startswith("error: the 3-move scan on 6689 vertices needs about 1.0 GiB")
         assert err.count("\n") == 1
+
+    def test_certify_family_pp_scan_over_cap(self, capsys):
+        # The family member (a 100 MB cost matrix) is built before the scan is refused.
+        argv = ["certify", "--family", "three-opt-lb", "--s", "1250", "--k", "3", "--plus-plus"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err
+        assert err.startswith("error: the 3-move scan on 10000 vertices needs about 2.2 GiB")
+
+    def test_plain_scans_past_the_cap_run_anchored(self, capsys, tmp_path):
+        # The identity tour is 3-optimal: its one cost-1 edge is a tour edge.
+        # (CERTIFY_GOLDEN runs a k = 2 certificate past the cap.)
+        rc, lines = run(capsys, self.certify_argv(tmp_path, 6689, 3))
+        assert rc == 0
+        assert lines[0] == "verdict=optimal"
+        inst = tmp_path / "inst.txt"
+        rc, lines = run(capsys, ["solve", "--instance", str(inst)])
+        assert rc == 0
+        assert lines == [
+            "final_cost=13377", "iterations=1", "moves_applied=0", "final_zero_paths=6687",
+        ]
 
     def test_gen_random_edge_set_over_cap(self, capsys):
         # The 36 MB cost matrix fits under the cap; ~1.8e7 drawn edges do not.
@@ -583,13 +608,22 @@ GEN_GOLDEN = {
 
 CERTIFY_GOLDEN = {
     ("two-opt-lb", "--n", "8", "--k", "2"): [
-        "verdict=optimal", "k=2", "predicate=plain", "examined=20",
+        "verdict=optimal", "k=2", "predicate=plain", "examined=20", "ratio=11/8", "bound=3/2",
     ],
     ("three-opt-lb", "--s", "3", "--k", "3"): [
-        "verdict=optimal", "k=3", "predicate=plain", "examined=6812",
+        "verdict=optimal", "k=3", "predicate=plain", "examined=6812", "ratio=11/9", "bound=11/8",
     ],
     ("three-opt-pp-lb", "--s", "2", "--k", "3", "--plus-plus"): [
-        "verdict=optimal", "k=3", "predicate=pp", "examined=598",
+        "verdict=optimal", "k=3", "predicate=pp", "examined=598", "ratio=4/3", "bound=4/3",
+    ],
+    # Plain scans past the blocked scan's cap are anchored on the cost-2 edges.
+    ("three-opt-lb", "--s", "1250", "--k", "3"): [
+        "verdict=optimal", "k=3", "predicate=plain", "examined=666216745000",
+        "ratio=13750/10003", "bound=11/8",
+    ],
+    ("two-opt-lb", "--n", "12000", "--k", "2"): [
+        "verdict=optimal", "k=2", "predicate=plain", "examined=71982000",
+        "ratio=17999/12000", "bound=3/2",
     ],
 }
 

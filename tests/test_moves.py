@@ -48,8 +48,12 @@ from kopt12 import (
     tour_cost,
 )
 from kopt12 import moves
+from kopt12.core import _order_heavy
 from kopt12.moves import (
+    _ANCHOR_COST,
     _PATTERN_ENDS,
+    _anchored_candidates,
+    _anchored_key,
     _gather_tables,
     _gathered_key,
     _least_key,
@@ -237,11 +241,18 @@ class TestApplyMoveErrors:
 _GATHER_TEST_MAX = 1 << 12
 
 
-def _assert_scans_match(instance, tour, k, plusplus):
-    """Check find_improving, the dense scan and the gather against the oracle.
+def _anchored(instance, order, k):
+    """The anchored scan's key for a tour order (any sequence)."""
+    order = np.array(order, dtype=np.intp)
+    return _anchored_key(instance, order, _order_heavy(instance, order), k)
 
-    find_improving takes one of the two paths by neighborhood size, so both
-    are called directly; the gather must return the dense scan's key.
+
+def _assert_scans_match(instance, tour, k, plusplus):
+    """Check find_improving, the dense scan, the gather and, under the plain
+    predicate, the anchored scan against the oracle.
+
+    find_improving takes one of the paths by neighborhood size and tour, so
+    each is called directly; each must return the dense scan's key.
     Returns the oracle's move.
     """
     expected = find_improving_by_enumeration(instance, tour, k, plusplus)
@@ -252,6 +263,8 @@ def _assert_scans_match(instance, tour, k, plusplus):
     assert (None if key is None else _move_from_key(tour, key)) == bare
     if neighborhood_size(instance.n, k) <= _GATHER_TEST_MAX:
         assert _gathered_key(A, k, plusplus) == key
+    if not plusplus:
+        assert _anchored(instance, tour.order, k) == key
     return expected
 
 
@@ -428,6 +441,161 @@ def test_one_row_blocks_match_enumeration_along_descents(one_row_blocks, k, plus
         _assert_scan_matches_along_descent(instance, Tour(tuple(order)), k, plusplus)
 
 
+# ---------------------------------------------------------------------------
+# The anchored plain scan against the blocked scan, the gather tables and the
+# enumeration oracle.
+# ---------------------------------------------------------------------------
+
+
+def _plain_descent(instance, order, k):
+    """Yield (order, blocked key) at every step of a plain descent, the last
+    with key None."""
+    while True:
+        key = _least_key(_position_costs(instance, order), k, False)
+        yield order, key
+        if key is None:
+            return
+        order = _reconnect(order, key)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_anchored_scan_matches_blocked_along_plain_descents(k):
+    # Shuffled starts have cost-2 edges at nearly every position, so the
+    # selection rule takes the blocked scan first and the anchored one by the
+    # end; both scans are compared at every step either way.
+    sides = set()
+    cases = [(n, p) for n in (14, 20, 31, 47, 64) for p in (3 / n, 6 / n, 0.15, 0.4)]
+    cases += [(100, 0.06), (140, 0.04), (200, 0.025)]
+    for n, p in cases:
+        seed = n * 1000 + int(p * 1000) + k
+        instance = random_instance(n, p, seed)
+        start = np.array(_shuffled_tour(n, seed).order, dtype=np.intp)
+        for order, key in _plain_descent(instance, start, k):
+            heavy = _order_heavy(instance, order)
+            assert _anchored_key(instance, order, heavy, k) == key, (n, p, order.tolist())
+            sides.add(_ANCHOR_COST[k] * _anchored_candidates(instance, order, heavy, k) < n * n)
+    assert sides == {False, True}
+
+
+def _random_key(rng, n, k):
+    """A random scan key of a move on n vertices whose removed edges are
+    pairwise apart."""
+    while True:
+        pos = sorted(rng.sample(range(n), 2 if k == 2 or rng.random() < 0.5 else 3))
+        if all(b - a >= 2 for a, b in zip(pos, pos[1:])) and pos[-1] - pos[0] <= n - 2:
+            return tuple(pos) if len(pos) == 2 else (*pos, rng.randint(1, 4))
+
+
+@pytest.mark.parametrize("k, n", [(2, 16), (2, 40), (2, 64), (3, 16), (3, 24), (3, 40)])
+def test_anchored_scan_matches_enumeration_near_local_optima(k, n):
+    # A local optimum, and tours one random move away from it, hold few
+    # accepted moves, so the oracle's first move can lie anywhere.
+    rng = random.Random(n * 10 + k)
+    instance = random_instance(n, 5 / n, n + k)
+    optimum, _ = local_search(instance, k=k, seed=n)
+    tours = [optimum] + [
+        apply_move(optimum, _move_from_key(optimum, _random_key(rng, n, k))) for _ in range(4)
+    ]
+    for tour in tours:
+        expected = find_improving_by_enumeration(instance, tour, k)
+        key = _anchored(instance, tour.order, k)
+        assert (None if key is None else _move_from_key(tour, key)) == (
+            None if expected is None else replace(expected, gain=None)
+        )
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_anchored_scan_matches_gather_keys(k):
+    # For every move of the identity tour, an instance whose cost-2 edges are
+    # the move's removed edges and all of whose added edges cost 1, or only
+    # one of them; every other edge of the tour costs 1.  The move is
+    # accepted, and the least accepted key is the gather tables' first.
+    for n in (5, 6, 7, 9, 13) if k == 3 else (4, 5, 8, 13):
+        tour = identity_tour(n)
+        for key in _gathered_keys(n, k):
+            mv = _move_from_key(tour, key)
+            kept = tour.edge_set - mv.removed
+            for light in [mv.added, *({e} for e in sorted(mv.added))]:
+                instance = Instance(n, frozenset(kept | light))
+                expected = _gathered_key(_position_costs(instance, tour.order), k, False)
+                assert expected is not None and expected <= key
+                assert _anchored(instance, tour.order, k) == expected, (n, key, light)
+
+
+def test_anchored_scan_finds_a_move_with_one_light_added_edge():
+    # Cost-2 tour edges at 0, 3, 9 and 15 of 24, and one cost-1 edge off the
+    # tour, (3, 16), joining end 0 of edge 3 to end 1 of edge 15.  A triple
+    # with both needs its third edge outside 3..15, so the only accepted
+    # moves remove 0, 3 and 15 (patterns 2 and 3), of gain 3 - 2.  The walks
+    # of case (a) need two cost-1 added edges: only case (b) finds them.
+    n = 24
+
+    def instance_with_heavy(*positions):
+        heavy = {canonical_edge(x, x + 1) for x in positions}
+        return Instance.from_pairs(n, sorted((tour.edge_set - heavy) | {(3, 16)}))
+
+    tour = identity_tour(n)
+    instance = instance_with_heavy(0, 3, 9, 15)
+    expected = find_improving_by_enumeration(instance, tour, 3)
+    assert expected == replace(_move_from_key(tour, (0, 3, 15, 2)), gain=1)
+    assert sorted(cost_edge(instance, *e) for e in expected.added) == [1, 2, 2]
+    assert _assert_scans_match(instance, tour, 3, False) == expected
+    # With edge 2 in place of 0, (3, 16) also joins the ends 1 of edges 2 and
+    # 15, and the least key removes the adjacent pair 2, 3 with edge 15; the
+    # 2-move (2, 15) is accepted too, but its key is larger.
+    instance = instance_with_heavy(2, 3, 9, 15)
+    assert _anchored(instance, tour.order, 3) == (2, 3, 15, 2)
+    assert _assert_scans_match(instance, tour, 3, False).gain == 1
+
+
+@pytest.mark.parametrize("key", [(4, 11), (0, 2), (3, 18), (0, 17)])
+def test_only_move_is_2_move_with_one_cost_2_edge(key):
+    # _only_moves makes the tour edge at key[1] cost 2 and the added edges 1.
+    instance, tour, move = _only_moves(20, [key])
+    assert move.gain == 1
+    for k in (2, 3):
+        for plusplus in (False, True):
+            assert _assert_scans_match(instance, tour, k, plusplus) == move
+
+
+def test_anchored_certificate_within_byte_budget():
+    # n = 10,000: the blocked scan would need 2.2 GiB, past the cap.
+    family = gen_three_opt_lb(1250)
+    instance, tour = family.instance, family.tour
+    assert moves._blocked_over_cap(instance.n, 3)
+    instance.cost1_csr  # cached, so only the scan is measured
+    tracemalloc.start()
+    try:
+        cert = certify_k_optimal(instance, tour, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cert.verdict == "optimal"
+    assert peak <= moves._ANCHOR_BYTES_PER_CANDIDATE * moves._ANCHOR_CHUNK
+
+
+def test_triple_codes_name_each_walk_by_its_move():
+    # Every walk through three distinct positions of the identity tour on 13
+    # vertices, entered at every choice of ends: a walk whose added edges make
+    # a triple of the generator maps to that triple's key, every other walk
+    # (a subtour, a tour edge added, two adjacencies) to none.
+    n = 13
+    tour = identity_tour(n)
+    keys = {}
+    for key in _gathered_keys(n, 3):
+        mv = _move_from_key(tour, key)
+        keys[mv.removed, mv.added] = key
+    for walk in itertools.permutations(range(n), 3):
+        removed = frozenset(canonical_edge(x, (x + 1) % n) for x in walk)
+        for ins in itertools.product((0, 1), repeat=3):
+            ends = [((x + a) % n, (x + 1 - a) % n) for x, a in zip(walk, ins)]
+            added = frozenset(canonical_edge(ends[s][1], ends[s - 2][0]) for s in range(3))
+            columns = (tuple(np.array([v]) for v in values) for values in (walk, ins))
+            found = [moves._key_from_code(n, int(c)) for c in moves._triple_codes(n, *columns)]
+            expected = keys.get((removed, added))
+            assert found == ([] if expected is None else [expected]), (walk, ins)
+
+
 def _only_moves(n, keys):
     """Identity tour on n vertices whose only improving moves have the given scan keys.
 
@@ -563,9 +731,12 @@ def test_multi_block_scan_matches_enumeration(n, plusplus):
     assert find_improving_by_enumeration(instance, tour, 3, plusplus) is None
     # One worsening 2-move away from it, the scan stops at an early block.
     worse = apply_move(tour, _move_from_key(tour, (n - 9, n - 3)))
-    assert find_improving(instance, worse, 3, plusplus) == find_improving_by_enumeration(
-        instance, worse, 3, plusplus
-    )
+    expected = find_improving_by_enumeration(instance, worse, 3, plusplus)
+    assert find_improving(instance, worse, 3, plusplus) == expected
+    if not plusplus:
+        assert _anchored(instance, tour.order, 3) is None
+        key = _anchored(instance, worse.order, 3)
+        assert _move_from_key(worse, key) == replace(expected, gain=None)
 
 
 def test_pp_scan_matches_enumeration_on_merging_family():
