@@ -15,6 +15,7 @@ or input errors.
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -45,7 +46,7 @@ from .core import Instance, Tour, tour_cost
 from .errors import InvalidArgumentError, Kopt12Error
 from .exact import check_held_karp_size, held_karp
 from .fileio import read_instance, read_tour, write_instance, write_tour
-from .moves import format_kmove, local_search
+from .moves import _check_scan, _descend, _start_order, format_kmove, local_search
 
 
 @dataclass(frozen=True)
@@ -112,17 +113,28 @@ def structural_checks(
     return True, ""
 
 
-def _sweep_cell(task: tuple[int, float, int, int]) -> tuple[RunRecord, ...]:
-    n, p, index, inst_seed = task
-    instance = random_instance(n, p, inst_seed)
-    opt = held_karp(instance)
+def _sweep_cell(cell: tuple[int, float, tuple[int, ...]]) -> tuple[RunRecord, ...]:
+    """The runs of one (n, p) cell, whose instances have the given seeds.
+
+    Each predicate descends from every instance's identity and seeded
+    random start in one lock-step _descend; the runs are then checked one
+    at a time, by instance, predicate and start.
+    """
+    n, p, seeds = cell
+    instances = [random_instance(n, p, seed) for seed in seeds]
+    # Row 2 * index + s starts instance index from starts[s].
+    starts = ("identity", "random")
+    rows = [instance for instance in instances for _ in starts]
+    orders = [_start_order(n, shuffle) for seed in seeds for shuffle in (None, seed + 777)]
+    finals = {
+        predicate: _descend(rows, orders, 3, predicate == "pp")[0] for predicate in ("plain", "pp")
+    }
     records = []
-    for predicate in ("plain", "pp"):
-        for start in ("identity", "random"):
-            seed = None if start == "identity" else inst_seed + 777
-            tour, stats = local_search(
-                instance, k=3, plusplus=predicate == "pp", seed=seed
-            )
+    for index, instance in enumerate(instances):
+        opt = held_karp(instance)
+        for predicate, (s, start) in itertools.product(("plain", "pp"), enumerate(starts)):
+            tour = Tour(tuple(finals[predicate][2 * index + s].tolist()))
+            cost = tour_cost(instance, tour)
             certifier = certify_kpp_optimal if predicate == "pp" else certify_k_optimal
             cert = certifier(instance, tour, 3)
             certified = cert.verdict == "optimal"
@@ -130,7 +142,7 @@ def _sweep_cell(task: tuple[int, float, int, int]) -> tuple[RunRecord, ...]:
                 ok, detail = structural_checks(instance, tour, opt.tour, predicate)
             else:
                 ok, detail = False, "not-locally-optimal"
-            ratio = Fraction(stats.final_cost, opt.cost)
+            ratio = Fraction(cost, opt.cost)
             bound = BOUND_PP if predicate == "pp" else BOUND_PLAIN
             if ok and ratio > bound:
                 ok, detail = False, "ratio-bound"
@@ -141,7 +153,7 @@ def _sweep_cell(task: tuple[int, float, int, int]) -> tuple[RunRecord, ...]:
                     index=index,
                     predicate=predicate,
                     start=start,
-                    cost=stats.final_cost,
+                    cost=cost,
                     optimum=opt.cost,
                     ratio=ratio,
                     certified=certified,
@@ -153,7 +165,13 @@ def _sweep_cell(task: tuple[int, float, int, int]) -> tuple[RunRecord, ...]:
 
 
 def run_sweep(config: SweepConfig) -> SweepResult:
-    """Run the full grid; record order is independent of worker count."""
+    """Run the full grid, one (n, p) cell at a time.
+
+    Each cell's descents run in lock step (see _sweep_cell).  Workers take
+    whole cells and results come back in cell order, so the records, ordered
+    by p, n, instance, predicate and start, do not depend on the worker
+    count.
+    """
     if config.n_min < 5 or config.n_max < config.n_min:
         raise InvalidArgumentError("need 5 <= n_min <= n_max")
     if config.per_cell < 1:
@@ -162,17 +180,16 @@ def run_sweep(config: SweepConfig) -> SweepResult:
         raise InvalidArgumentError("need at least one worker")
     check_held_karp_size(config.n_max)
     workers = min(config.workers, os.cpu_count() or 1)
-    tasks = [
-        (n, p, idx, config.seed * 1000003 + n * 1009 + idx)
+    cells = [
+        (n, p, tuple(config.seed * 1000003 + n * 1009 + idx for idx in range(config.per_cell)))
         for p in config.p_values
         for n in range(config.n_min, config.n_max + 1)
-        for idx in range(config.per_cell)
     ]
     if workers == 1:
-        groups = [_sweep_cell(t) for t in tasks]
+        groups = [_sweep_cell(cell) for cell in cells]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            groups = list(pool.map(_sweep_cell, tasks, chunksize=8))
+            groups = list(pool.map(_sweep_cell, cells))
     records = tuple(r for g in groups for r in g)
     plain = [r.ratio for r in records if r.predicate == "plain"]
     pp = [r.ratio for r in records if r.predicate == "pp"]
@@ -196,8 +213,14 @@ def _bool(value: bool) -> str:
     return "true" if value else "false"
 
 
-def _family_member(args: argparse.Namespace) -> FamilyOutput:
-    """Build the --family member from its one size option, --n or --s."""
+def _family_member(
+    args: argparse.Namespace, scan: tuple[int, bool] | None = None
+) -> FamilyOutput:
+    """Build the --family member from its one size option, --n or --s.
+
+    With scan = (k, plusplus), a k-move scan of the member that would pass
+    the dense-table cap is refused before the member is built.
+    """
     family = FAMILIES[args.family]
     for opt in ("n", "s", "p", "seed"):
         if opt != family.size and getattr(args, opt, None) is not None:
@@ -205,6 +228,9 @@ def _family_member(args: argparse.Namespace) -> FamilyOutput:
     size = getattr(args, family.size)
     if size is None:
         raise InvalidArgumentError(f"{args.family} needs --{family.size}")
+    if scan is not None:
+        # A block-built member has period vertices per block s.
+        _check_scan(size * (family.period or 1), *scan)
     return family.generate(size)
 
 
@@ -274,7 +300,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     if args.family:
         if args.instance or args.tour:
             raise InvalidArgumentError("give --family or --instance and --tour, not both")
-        out = _family_member(args)
+        out = _family_member(args, scan=(args.k, args.plus_plus))
         instance, tour = out.instance, out.tour
         ratio = Fraction(tour_cost(instance, tour), tour_cost(instance, out.reference_tour))
         family_lines = [f"ratio={ratio}", f"bound={FAMILIES[args.family].bound}"]

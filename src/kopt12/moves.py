@@ -43,6 +43,8 @@ matrix gives every candidate's gain, and the first with gain >= 1 is the
 plain answer.  Under ++ dz is computed only for the zero-gain candidates
 ahead of it, and the first of those with dz < 0, if any, is taken instead.
 The same arrays store each move's scan key, so every scan returns a key.
+The gather runs on a stack of position-cost matrices, one per tour, with
+one take for the whole stack; a single scan is a stack of one.
 
 Under the plain predicate a larger neighborhood may be scanned from the
 tour's l cost-2 edges instead (the anchored scan).  An accepted move gains
@@ -57,14 +59,17 @@ tables would pass the dense-table cap.  The generator with
 is_improving_pp is the reference semantics, and the tests check every scan
 against it.
 
-local_search descends on an int array of the tour order, the array
-representation of Bentley (1992): each step takes the least accepted key
-from the scan and applies it by segment reversals and exchanges
-(_reconnect) followed by one roll and at most one flip back to the
-canonical order that apply_move returns.  It builds a Tour only for its
-result.  find_improving turns the key into a KMove with its gain; it,
-apply_move and enumerate_kmoves are the oracles the tests hold the descent
-to.
+Descents run on int arrays of tour orders, the array representation of
+Bentley (1992): each step takes the least accepted key from the scan and
+applies it by segment reversals and exchanges (_reconnect) followed by one
+roll and at most one flip back to the canonical order that apply_move
+returns.  _descend runs many descents on the same n in lock step: each
+step scans every row still descending, at gathered sizes by one stacked
+gather, and applies each row's move by _reconnect.  local_search is a
+descent of one row, and the sweep descends each (n, p) cell's tours
+together; a Tour is built only for each result.  find_improving turns the
+key into a KMove with its gain; it, apply_move and enumerate_kmoves are
+the oracles the tests hold the descent to.
 """
 
 from __future__ import annotations
@@ -305,17 +310,20 @@ _Tables = dict[tuple[int, int], np.ndarray]
 _SCAN_BYTES_PER_ENTRY = {2: 10, 3: 24}
 
 
-def _position_costs(instance: Instance, order: tuple[int, ...] | np.ndarray) -> np.ndarray:
+def _position_costs(
+    instance: Instance, order: tuple[int, ...] | np.ndarray, dtype: type = np.int16
+) -> np.ndarray:
     """Cost matrix indexed by position in the tour order (a sequence of
     vertices); position n is position 0 again.
 
     So A[x + a, y + b] for all positions x, y is the slice A[a:a+n, b:b+n].
+    The gathered scan's sums fit int8; the blocked scan's need int16.
     """
     n = instance.n
     o = np.empty(n + 1, dtype=np.intp)
     o[:n] = order
     o[n] = o[0]
-    return instance.cost_matrix.take(o, axis=0).take(o, axis=1).astype(np.int16)
+    return instance.cost_matrix.take(o, axis=0).take(o, axis=1).astype(dtype)
 
 
 def _score_terms(
@@ -502,6 +510,11 @@ def _reconnect(order: np.ndarray, key: tuple) -> np.ndarray:
 # the blocked scan from n = 16 on), from the at most six endpoints of the
 # removed edges and the two edges each has after the move.  Endpoint slots
 # are padded with position n, never isolated, and its edges with A[0, 0].
+#
+# The scan takes a stack of B position-cost matrices, read as one array of
+# (n+1)^2 rows with one column per matrix, so the same take and arithmetic
+# score every matrix's candidates at once: B = 1 for find_improving and a
+# single descent, and every still-descending row of a lock-step _descend.
 # ---------------------------------------------------------------------------
 
 # Most candidates of a gathered scan: k = 3 up to n = 13, k = 2 up to n = 46.
@@ -561,29 +574,74 @@ def _gather_tables(n: int, k: int) -> _Gather:
     return _Gather(*tables)
 
 
-def _gathered_key(A: np.ndarray, k: int, plusplus: bool) -> tuple | None:
-    """First accepted scan key on position costs A by the gather tables, or None."""
-    tables = _gather_tables(len(A) - 1, k)
-    costs = A.ravel()
-    r0, r1, r2, a0, a1, a2 = costs.take(tables.edges)
-    gain = r0 + r1 + r2 - a0 - a1 - a2
-    first = _first_accepted(gain)
+@functools.cache
+def _gather_keys(n: int, k: int) -> tuple[tuple, ...]:
+    """The scan key of every column of the gather tables, decoded."""
+    keys = _gather_tables(n, k).keys.T.tolist()
+    return tuple((i, j) if pid == 0 else (i, j, kk, pid) for i, j, kk, pid in keys)
+
+
+@functools.cache
+def _cycle_entries(n: int) -> np.ndarray:
+    """Flat indices into an (n + 1)^2 position-cost matrix of tour edges
+    n - 1, 0, 1, ..., n - 1 (edge x costs A[x, x + 1]), then of A[0, 0] = 0."""
+    out = np.append((np.arange(-1, n) % n) * (n + 2) + 1, 0)
+    out.flags.writeable = False
+    return out
+
+
+def _gathered_key(stack: np.ndarray, k: int, plusplus: bool) -> list[tuple | None]:
+    """First accepted scan key of each position-cost matrix of a stack of
+    shape (B, n + 1, n + 1) by the gather tables, or None for a matrix
+    with no accepted move."""
+    rows, side, _ = stack.shape
+    tables = _gather_tables(side - 1, k)
+    # Entry e of every matrix lies in row e: one take of whole rows gathers
+    # every matrix's candidates at once (_descend lays its stacks out so
+    # that this is a view).  Arrays below are indexed (candidate, matrix).
+    costs = stack.reshape(rows, -1).T
+    r0, r1, r2, a0, a1, a2 = costs.take(tables.edges, axis=0)
+    gain = r0 + r1
+    gain += r2
+    gain -= a0
+    gain -= a1
+    gain -= a2
+    m = len(gain)
+    ok = gain >= 1
+    # Each matrix's first accepted candidate, or m.
+    first = [f if ok.item(f, r) else m for r, f in enumerate(ok.argmax(axis=0).tolist())]
+    keys = _gather_keys(side - 1, k)
     if plusplus:
-        zero = np.flatnonzero(gain[:first] == 0)
-        if zero.size:
-            heavy = np.diagonal(A, 1) == 2
+        # The zero-gain candidates ahead of each matrix's first.
+        top = max(first)
+        zero = gain[:top] == 0
+        if min(first) < top:
+            zero &= np.arange(top)[:, None] < first
+        col, row = zero.nonzero()
+        if col.size:
             # By position: x is isolated when edges x - 1 and x cost 2, n never is.
-            isolated = np.concatenate((heavy[-1:] & heavy[:1], heavy[:-1] & heavy[1:], [False]))
-            ends_heavy = costs.take(tables.after[:, zero]) == 2
-            dz = (ends_heavy[0::2] & ends_heavy[1::2]).sum(axis=0)
-            dz -= isolated.take(tables.ends[:, zero]).sum(axis=0)
-            merging = np.flatnonzero(dz < 0)
-            if merging.size:
-                first = int(zero[merging[0]])
-    if first is None:
-        return None
-    i, j, kk, pid = tables.keys[:, first].tolist()
-    return (i, j) if pid == 0 else (i, j, kk, pid)
+            # By position: x is isolated when edges x - 1 and x cost 2, n never is.
+            heavy = costs.take(_cycle_entries(side - 1), axis=0) == 2
+            isolated = heavy[:-1] & heavy[1:]
+            # dz < 0: fewer of the endpoints are isolated after the move than before.
+            ends_heavy = costs.take(_entries(tables.after.take(col, axis=1), row, rows)) == 2
+            after = (ends_heavy[0::2] & ends_heavy[1::2]).sum(axis=0)
+            before = isolated.take(_entries(tables.ends.take(col, axis=1), row, rows))
+            merging = (after < before.sum(axis=0)).nonzero()[0]
+            # By column, so each matrix's first merging candidate comes first.
+            for c, r in zip(col[merging].tolist(), row[merging].tolist()):
+                first[r] = min(first[r], c)
+    return [keys[f] if f < m else None for f in first]
+
+
+def _entries(index: np.ndarray, row: np.ndarray, rows: int) -> np.ndarray:
+    """Flat indices, into an array of rows columns, of rows index of columns row."""
+    if rows == 1:
+        return index
+    out = index.astype(np.intp)
+    out *= rows
+    out += row
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -814,7 +872,7 @@ def _scan_key(instance: Instance, order: np.ndarray, k: int, plusplus: bool) -> 
     estimated cheaper or the blocked scan would pass the dense-table cap."""
     n = instance.n
     if neighborhood_size(n, k) <= _GATHER_MAX:
-        return _gathered_key(_position_costs(instance, order), k, plusplus)
+        return _gathered_key(_position_costs(instance, order, np.int8)[None], k, plusplus)[0]
     if not plusplus:
         heavy = _order_heavy(instance, order)
         if _blocked_over_cap(n, k) or (
@@ -875,6 +933,59 @@ def find_improving_by_enumeration(
     return None
 
 
+def _start_order(n: int, seed: int | None) -> tuple[int, ...]:
+    """The identity order on n vertices, or its shuffle by random.Random(seed)."""
+    order = list(range(n))
+    if seed is not None:
+        random.Random(seed).shuffle(order)
+    return tuple(order)
+
+
+def _descend(
+    instances: list[Instance], orders: list, k: int, plusplus: bool
+) -> tuple[np.ndarray, list[int]]:
+    """First-improvement descents of tour orders, orders[r] on instances[r],
+    all on n vertices, in lock step.
+
+    Returns the final orders, one row each, and each row's iterations: its
+    scans, the last of which found no move.  Each step scans every row
+    still descending: neighborhoods of at most _GATHER_MAX candidates by one
+    gathered scan of all their position costs, larger ones a row at a time.
+    Each row's move is applied by _reconnect.
+    """
+    orders = np.array(orders, dtype=np.intp)
+    n = orders.shape[1]
+    iterations = [0] * len(orders)
+    active = np.arange(len(orders))
+    if neighborhood_size(n, k) <= _GATHER_MAX:
+        costs = np.stack([instance.cost_matrix for instance in instances]).astype(np.int8)
+        wrap = np.arange(n + 1) % n
+    else:
+        costs = None
+    # Every accepted move lowers (n+1) * cost + isolated vertices by at least
+    # 1, from at most 2n^2 + 3n to at least n^2 + n: n^2 + 2n moves at most.
+    limit = n**2 + 2 * n + 1
+    for step in range(1, limit + 1):
+        if costs is None:
+            keys = [_scan_key(instances[r], orders[r], k, plusplus) for r in active]
+        else:
+            # Position costs indexed (x, y, row), handed over as (row, x, y).
+            o = orders[active[:, None], wrap].T
+            flat = (active * n + o[:, None]) * n + o
+            keys = _gathered_key(costs.take(flat).transpose(2, 0, 1), k, plusplus)
+        moving = []
+        for r, key in zip(active.tolist(), keys):
+            if key is None:
+                iterations[r] = step
+            else:
+                orders[r] = _reconnect(orders[r], key)
+                moving.append(r)
+        if not moving:
+            return orders, iterations
+        active = np.array(moving)
+    raise InvalidMoveError(f"descent still finds moves after {limit} iterations")
+
+
 def local_search(
     instance: Instance,
     start: Tour | None = None,
@@ -891,29 +1002,14 @@ def local_search(
     if start is not None and seed is not None:
         raise InvalidArgumentError("give a start tour or a seed to shuffle one, not both")
     if start is None:
-        if seed is None:
-            start = identity_tour(instance.n)
-        else:
-            order = list(range(instance.n))
-            random.Random(seed).shuffle(order)
-            start = Tour(tuple(order))
+        start = Tour(_start_order(instance.n, seed))
     validate_tour(instance, start)
     _check_scan(instance.n, k, plusplus)
-    order = np.array(start.order, dtype=np.intp)
-    # Every accepted move lowers (n+1) * cost + isolated vertices by at least
-    # 1, from at most 2n^2 + 3n to at least n^2 + n: n^2 + 2n moves at most.
-    limit = instance.n**2 + 2 * instance.n + 1
-    for iterations in range(1, limit + 1):
-        key = _scan_key(instance, order, k, plusplus)
-        if key is None:
-            break
-        order = _reconnect(order, key)
-    else:
-        raise InvalidMoveError(f"descent still finds moves after {limit} iterations")
-    tour = Tour(tuple(order.tolist()))
+    orders, iterations = _descend([instance], [start.order], k, plusplus)
+    tour = Tour(tuple(orders[0].tolist()))
     stats = SearchStats(
-        iterations=iterations,
-        moves_applied=iterations - 1,
+        iterations=iterations[0],
+        moves_applied=iterations[0] - 1,
         final_cost=tour_cost(instance, tour),
         final_zero_paths=count_zero_paths(instance, tour),
     )

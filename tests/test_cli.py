@@ -10,7 +10,22 @@ from pathlib import Path
 
 import pytest
 
-from kopt12 import SweepConfig, SweepResult, read_instance, read_tour, run_sweep, tour_cost
+from kopt12 import (
+    RunRecord,
+    SweepConfig,
+    SweepResult,
+    certify_k_optimal,
+    certify_kpp_optimal,
+    held_karp,
+    local_search,
+    random_instance,
+    read_instance,
+    read_tour,
+    run_sweep,
+    structural_checks,
+    tour_cost,
+)
+from kopt12.analysis import BOUND_PLAIN, BOUND_PP
 from kopt12 import cli, moves
 from kopt12.core import check_dense_size
 from kopt12.cli import main
@@ -276,12 +291,9 @@ class TestDenseCap:
         assert err.count("\n") == 1
 
     def test_certify_family_pp_scan_over_cap(self, capsys):
-        # The family member (a 100 MB cost matrix) is built before the scan is refused.
+        # The scan is refused before the member (a 100 MB cost matrix) is built.
         argv = ["certify", "--family", "three-opt-lb", "--s", "1250", "--k", "3", "--plus-plus"]
-        assert main(argv) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        err = captured.err
+        err = self.refused(capsys, argv)
         assert err.startswith("error: the 3-move scan on 10000 vertices needs about 2.2 GiB")
 
     def test_plain_scans_past_the_cap_run_anchored(self, capsys, tmp_path):
@@ -409,6 +421,39 @@ class TestSweep:
         assert sum(1 for line in lines if line.startswith("run ")) == 16
         assert all("checks=ok" in line for line in lines if line.startswith("run "))
         assert report.read_text().splitlines() == lines
+
+    def test_records_match_one_run_at_a_time(self):
+        # The cells descend in lock step; each record must be the one a
+        # separate local_search, held_karp, certificate and structural check
+        # give.  n = 14 is past the k = 3 gather cap, so its descents scan a
+        # row at a time.
+        config = SweepConfig(n_min=12, n_max=14, per_cell=2, p_values=(0.3, 0.7), seed=5)
+        expected = []
+        for p in config.p_values:
+            for n in range(config.n_min, config.n_max + 1):
+                for index in range(config.per_cell):
+                    seed = config.seed * 1000003 + n * 1009 + index
+                    instance = random_instance(n, p, seed)
+                    opt = held_karp(instance)
+                    for predicate, certifier, bound in (
+                        ("plain", certify_k_optimal, BOUND_PLAIN),
+                        ("pp", certify_kpp_optimal, BOUND_PP),
+                    ):
+                        for start, start_seed in (("identity", None), ("random", seed + 777)):
+                            tour, stats = local_search(
+                                instance, k=3, plusplus=predicate == "pp", seed=start_seed
+                            )
+                            certified = certifier(instance, tour, 3).verdict == "optimal"
+                            ok, detail = structural_checks(instance, tour, opt.tour, predicate)
+                            ratio = Fraction(stats.final_cost, opt.cost)
+                            assert certified and ok and ratio <= bound
+                            expected.append(
+                                RunRecord(
+                                    n, p, index, predicate, start, stats.final_cost,
+                                    opt.cost, ratio, certified, ok, detail,
+                                )
+                            )
+        assert run_sweep(config).records == tuple(expected)
 
     def test_workers_clamped_to_cpu_count(self, monkeypatch):
         pool_sizes = []

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -25,11 +26,15 @@ from kopt12 import (
     find_forbidden_constellation,
     find_improving,
     find_improving_by_enumeration,
+    gen_three_opt_lb,
+    gen_three_opt_pp_lb,
+    gen_two_opt_lb,
     identity_tour,
     local_search,
     one_path_decomposition,
     parse_tour,
     pp_path_checks,
+    random_instance,
     ratio_report,
     read_tour,
     structural_checks,
@@ -91,6 +96,26 @@ def test_cost_matrix_matches_cost_edge(instance):
         assert m[u, u] == 0
         for v in range(u + 1, n):
             assert m[u, v] == m[v, u] == cost_edge(instance, u, v)
+
+
+@pytest.mark.parametrize(
+    "instance",
+    [
+        *(random_instance(n, p, seed) for n in (5, 17, 60) for p in (0, 0.3, 1) for seed in (1, 2)),
+        gen_two_opt_lb(21).instance,
+        gen_three_opt_lb(3).instance,
+        gen_three_opt_pp_lb(4).instance,
+    ],
+)
+def test_cost1_csr_matches_the_cost_matrix(instance):
+    # Built from the edge list, the rows and degrees are those of the dense matrix.
+    light = instance.cost_matrix == 1
+    indptr, indices = instance.cost1_csr
+    degree = np.count_nonzero(light, axis=1)
+    assert indptr.tolist() == [0, *np.cumsum(degree).tolist()]
+    assert instance.cost1_degree.tolist() == degree.tolist()
+    for v in range(instance.n):
+        assert indices[indptr[v] : indptr[v + 1]].tolist() == np.flatnonzero(light[v]).tolist()
 
 
 def test_cost1_neighbors(hexa):

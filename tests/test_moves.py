@@ -262,7 +262,7 @@ def _assert_scans_match(instance, tour, k, plusplus):
     key = _least_key(A, k, plusplus)
     assert (None if key is None else _move_from_key(tour, key)) == bare
     if neighborhood_size(instance.n, k) <= _GATHER_TEST_MAX:
-        assert _gathered_key(A, k, plusplus) == key
+        assert _gathered_key(A[None], k, plusplus) == [key]
     if not plusplus:
         assert _anchored(instance, tour.order, k) == key
     return expected
@@ -410,6 +410,61 @@ def test_local_search_follows_reference_chain(monkeypatch, k, n, plusplus):
     )
 
 
+@pytest.mark.parametrize("k", [2, 3])
+def test_stacked_gather_matches_one_row_and_enumeration(k):
+    # Per n, a stack of shuffled tours and of local optima under each
+    # predicate, on several instances: under ++ a plain local optimum often
+    # has only zero-gain merging moves.
+    merging = 0
+    for n in range(5, 14):
+        rows = []
+        for seed, p in enumerate((0.2, 0.4, 0.6), n * 10):
+            instance = random_instance(n, p, seed)
+            rows.append((instance, _shuffled_tour(n, seed)))
+            for plusplus in (False, True):
+                rows.append((instance, local_search(instance, k=k, plusplus=plusplus, seed=seed)[0]))
+        for plusplus in (False, True):
+            stack = np.stack([_position_costs(instance, tour.order) for instance, tour in rows])
+            keys = _gathered_key(stack, k, plusplus)
+            assert len(keys) == len(rows)
+            for (instance, tour), key in zip(rows, keys):
+                A = _position_costs(instance, tour.order)
+                assert _gathered_key(A[None], k, plusplus) == [key]
+                expected = find_improving_by_enumeration(instance, tour, k, plusplus)
+                assert (None if key is None else _move_from_key(tour, key)) == (
+                    None if expected is None else replace(expected, gain=None)
+                )
+                merging += expected is not None and expected.gain == 0
+    assert merging
+
+
+def test_descend_raises_when_one_row_reaches_the_limit(monkeypatch):
+    # One row's moves leave its order as it was, so it accepts a move at
+    # every step; the other row descends to its local optimum meanwhile.
+    n = 8
+    instance = random_instance(n, 0.3, 5)
+    stuck = _shuffled_tour(n, 1)
+    assert stuck.order[0] != 0 and find_improving(instance, stuck, 3) is not None
+    finished, stats = local_search(instance, seed=2)
+    assert stats.iterations >= 3
+    reconnect = moves._reconnect
+    visited = []
+
+    def stalling(order, key):
+        if tuple(order.tolist()) == stuck.order:
+            return order
+        new = reconnect(order, key)
+        visited.append(tuple(new.tolist()))
+        return new
+
+    monkeypatch.setattr(moves, "_reconnect", stalling)
+    orders = [stuck.order, moves._start_order(n, 2)]
+    with pytest.raises(InvalidMoveError, match=f"after {n * n + 2 * n + 1} iterations"):
+        moves._descend([instance, instance], orders, 3, False)
+    assert len(visited) == stats.moves_applied
+    assert visited[-1] == finished.order
+
+
 @pytest.mark.parametrize("plusplus", [False, True])
 @pytest.mark.parametrize("k", [2, 3])
 def test_scan_matches_enumeration_at_gather_cap(k, plusplus):
@@ -517,7 +572,7 @@ def test_anchored_scan_matches_gather_keys(k):
             kept = tour.edge_set - mv.removed
             for light in [mv.added, *({e} for e in sorted(mv.added))]:
                 instance = Instance(n, frozenset(kept | light))
-                expected = _gathered_key(_position_costs(instance, tour.order), k, False)
+                expected = _gathered_key(_position_costs(instance, tour.order)[None], k, False)[0]
                 assert expected is not None and expected <= key
                 assert _anchored(instance, tour.order, k) == expected, (n, key, light)
 
