@@ -218,8 +218,9 @@ def _family_member(
 ) -> FamilyOutput:
     """Build the --family member from its one size option, --n or --s.
 
-    With scan = (k, plusplus), a k-move scan of the member that would pass
-    the dense-table cap is refused before the member is built.
+    With scan = (k, plusplus), a size the family refuses, and then a k-move
+    scan of the member that would pass the dense-table cap, are refused
+    before the member is built.
     """
     family = FAMILIES[args.family]
     for opt in ("n", "s", "p", "seed"):
@@ -229,6 +230,7 @@ def _family_member(
     if size is None:
         raise InvalidArgumentError(f"{args.family} needs --{family.size}")
     if scan is not None:
+        family.check_size(size)
         # A block-built member has period vertices per block s.
         _check_scan(size * (family.period or 1), *scan)
     return family.generate(size)

@@ -123,14 +123,29 @@ def _cycle(edges: frozenset[Edge]) -> tuple[int, ...]:
         raise ConstructionError(f"reference {exc}") from None
 
 
+def _size_check(label: str, opt: str, least: int) -> Callable[[int], None]:
+    """A check that refuses a family size below least, as the family's
+    generator does before it builds anything."""
+
+    def check(size: int) -> None:
+        if size < least:
+            raise InvalidArgumentError(f"{label} family needs {opt} >= {least}, got {size}")
+
+    return check
+
+
+_check_two_opt = _size_check("two-opt", "n", 7)
+_check_three_opt = _size_check("three-opt", "s", 3)
+_check_merging = _size_check("merging", "s", 2)
+
+
 def gen_two_opt_lb(n: int) -> FamilyOutput:
     """Ring plus even chords; a 2-optimal tour of cost n + floor((n-2)/2).
 
     The designated tour takes odd vertices up and even vertices down, using
     every second ring edge and every chord once.  The identity tour costs n.
     """
-    if n < 7:
-        raise InvalidArgumentError(f"two-opt family needs n >= 7, got {n}")
+    _check_two_opt(n)
     check_dense_size(n)
     edges = {canonical_edge(i, i + 1) for i in range(n - 1)}
     edges.add(canonical_edge(0, n - 1))
@@ -154,8 +169,7 @@ def build_three_opt_reference(s: int) -> Tour:
     Each cycle uses 2s cost-1 edges; opening each at its smallest edge and
     chaining the paths costs at most 8s + 4.
     """
-    if s < 3:
-        raise InvalidArgumentError(f"three-opt family needs s >= 3, got {s}")
+    _check_three_opt(s)
     n = 8 * s
     cycles = (
         ((2, 5), (2, 13)),
@@ -178,8 +192,7 @@ def gen_three_opt_lb(s: int) -> FamilyOutput:
     The identity tour costs 11s while the reference tour built from four
     disjoint cost-1 cycles costs at most 8s + 4.
     """
-    if s < 3:
-        raise InvalidArgumentError(f"three-opt family needs s >= 3, got {s}")
+    _check_three_opt(s)
     n = 8 * s
     check_dense_size(n)
     inst = Instance(n, _template_edges(n, s, 8, _THREE_OPT_TEMPLATE))
@@ -201,8 +214,7 @@ def gen_three_opt_pp_lb(s: int) -> FamilyOutput:
     {2h, 2h+1} and {2h, 2h+3} around the whole vertex set and is all
     cost-1, so it costs exactly 6s.
     """
-    if s < 2:
-        raise InvalidArgumentError(f"merging family needs s >= 2, got {s}")
+    _check_merging(s)
     n = 6 * s
     check_dense_size(n)
     inst = Instance(n, _template_edges(n, s, 6, _PP_TEMPLATE))
@@ -225,12 +237,13 @@ class Family(NamedTuple):
     generate: Callable[[int], FamilyOutput]
     period: int | None  # vertices per template block; None if not block-built
     bound: Fraction  # the paper's ratio bound, which the family's ratio tends to
+    check_size: Callable[[int], None]  # refuses a size the generator refuses
 
 
 FAMILIES: dict[str, Family] = {
-    "two-opt-lb": Family("n", gen_two_opt_lb, None, Fraction(3, 2)),
-    "three-opt-lb": Family("s", gen_three_opt_lb, 8, BOUND_PLAIN),
-    "three-opt-pp-lb": Family("s", gen_three_opt_pp_lb, 6, BOUND_PP),
+    "two-opt-lb": Family("n", gen_two_opt_lb, None, Fraction(3, 2), _check_two_opt),
+    "three-opt-lb": Family("s", gen_three_opt_lb, 8, BOUND_PLAIN, _check_three_opt),
+    "three-opt-pp-lb": Family("s", gen_three_opt_pp_lb, 6, BOUND_PP, _check_merging),
 }
 
 

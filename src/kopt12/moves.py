@@ -28,12 +28,11 @@ the added edge at its end 0.  A candidate is accepted when its score is at
 least 1 (gain >= 1, or under ++ also gain = 0 and dz < 0), and the scan
 returns the least accepted key: the move the generator would accept first.
 Keys order by leading position first, so the n^3 triple tables are built
-one block of leading positions at a time, in ascending order, and the scan
-stops at the first block that holds an accepted candidate.  A descent step
+one leading row of n^2 entries at a time, in ascending order, and the scan
+stops at the first row that holds an accepted candidate.  A descent step
 thus usually builds only the first rows, and a certificate scan, which
-visits every block, holds its n^2 tables and one block of max(2^16, n^2)
-entries, rounded up to whole rows of n^2.  Each table is searched by one
-argmax.
+visits every row, holds its n^2 tables and one row at a time.  Each table
+is searched by one argmax.
 
 A neighborhood of at most _GATHER_MAX candidates (k = 3 up to n = 13, k = 2
 up to n = 46) skips the tables and is scanned by one gather.  Index arrays
@@ -41,8 +40,9 @@ cached per (n, k) hold the edges of every move the generator yields on the
 identity tour, in its order, so one take from the tour's position-cost
 matrix gives every candidate's gain, and the first with gain >= 1 is the
 plain answer.  Under ++ dz is computed only for the zero-gain candidates
-ahead of it, and the first of those with dz < 0, if any, is taken instead.
-The same arrays store each move's scan key, so every scan returns a key.
+ahead of it, from each endpoint's two edges before and after the move, and
+the first of those with dz < 0, if any, is taken instead.  The same cache
+holds each move's scan key, so every scan returns a key.
 The gather runs on a stack of position-cost matrices, one per tour, with
 one take for the whole stack; a single scan is a stack of one.
 
@@ -287,17 +287,13 @@ def is_improving_pp(instance: Instance, tour: Tour, move: KMove) -> bool:
 # table's row x = n-1 (keys (0, y, n-1, 1)), upper triangle (x, x+1, y, 2)
 # and transposed lower triangle (y, x, x+1, 2), each for its least accepted
 # key.  The four pattern tables over the pairwise non-adjacent triples
-# (i, j, k) hold n^3 entries.  They are built one block of leading rows i
-# at a time, in ascending i.  Keys compare by i first, so the scan stops at
-# the first block that holds an accepted triple, or once its rows pass the
-# leading index of the least pair or adjacent-pair key.  Every block but
-# the last has ceil(_BLOCK / n^2) rows, so a scan with n^3 <= _BLOCK is one
-# block, and any scan holds one block of max(_BLOCK, n^2) entries, rounded
-# up to whole rows, at a time on top of the n^2 tables.
+# (i, j, k) hold n^3 entries.  They are built one leading row i of n^2
+# entries at a time, in ascending i.  Keys compare by i first, so the scan
+# stops at the first row that holds an accepted triple, or once i passes the
+# leading index of the least pair or adjacent-pair key.  A scan thus holds
+# one pattern's row of n^2 entries at a time on top of the n^2 tables.
 # ---------------------------------------------------------------------------
 
-# Entries (rows times n^2, rounded up to whole rows) of a triple block.
-_BLOCK = 1 << 16
 # Score term of a position pair that no candidate removes together.
 _REJECT = -1000
 # Score term tables by the removed-edge ends (ex, ey) their added edges join.
@@ -306,7 +302,7 @@ _Tables = dict[tuple[int, int], np.ndarray]
 # k = 2 at n = 400 and 800: 7 (plain), 9.3 (++); k = 3 at n = 400 to 1,600
 # with only the tour's edges at cost 2, and certificates at n = 1,600: 15.0
 # (plain), 20.2 (++); family certificates at n = 204 to 800: 14.2 (plain),
-# 22.3 (++).  Below n = 256 a triple block can pass n^2 entries.
+# 22.3 (++).
 _SCAN_BYTES_PER_ENTRY = {2: 10, 3: 24}
 
 
@@ -373,21 +369,12 @@ def _score_terms(
     return terms, adjacent
 
 
-def _triple_block(
-    terms: _Tables, ends: tuple[tuple[int, int], ...], lo: int, hi: int
-) -> np.ndarray:
-    """Rows lo <= i < hi of the triple table of one pattern's ends."""
+def _triple_row(terms: _Tables, ends: tuple[tuple[int, int], ...], i: int) -> np.ndarray:
+    """Row i of the triple table of one pattern's ends, over (j, k)."""
     ij, ik, jk = (terms[e] for e in ends)
-    out = ij[lo:hi, :, None] + ik[lo:hi, None, :]
+    out = ij[i, :, None] + ik[i]
     out += jk
     return out
-
-
-def _row_blocks(n: int) -> Iterator[tuple[int, int]]:
-    """Leading-row ranges of the triple blocks, in ascending order."""
-    rows = -(-_BLOCK // (n * n))
-    for lo in range(0, n, rows):
-        yield lo, min(n, lo + rows)
 
 
 def _first_accepted(score: np.ndarray) -> int | None:
@@ -434,17 +421,16 @@ def _least_key(A: np.ndarray, k: int, plusplus: bool) -> tuple | None:
     best = min(keys, default=None)
     if k == 2:
         return best
-    for lo, hi in _row_blocks(n):
-        if best is not None and lo > best[0]:
-            break
+    # A triple (i, j, k) has i <= n - 5; a lead past the least key's is never less.
+    for i in range(n - 4 if best is None else min(n - 4, best[0] + 1)):
         found = None
         for pid, ends in enumerate(_PATTERN_ENDS, 1):
-            flat = _first_accepted(_triple_block(terms, ends, lo, hi))
+            flat = _first_accepted(_triple_row(terms, ends, i))
             if flat is not None and (found is None or flat < found[0]):
                 found = (flat, pid)
         if found is not None:
             flat, pid = found
-            key = (lo + flat // (n * n), flat // n % n, flat % n, pid)
+            key = (i, flat // n, flat % n, pid)
             return key if best is None or key < best else best
     return best
 
@@ -501,15 +487,16 @@ def _reconnect(order: np.ndarray, key: tuple) -> np.ndarray:
 # cached move costs A[u, v] on any tour, A being the position-cost matrix.
 # One take gives the costs of every candidate's three removed and three
 # added edges (a 2-move pads both third slots with A[0, 0] = 0), and the
-# plain scan returns the key of the first candidate of gain >= 1, read from
-# a fourth array that the same loop over the generator fills: (i, j, 0, 0)
-# for a pair, and for a triple (i, j, k) with the first pattern id whose
-# added edges are the move's, as the blocked scan numbers it.  Under ++ a
+# plain scan returns the key of the first candidate of gain >= 1, from a
+# tuple of keys that the same loop over the generator fills: (i, j) for a
+# pair, and for a triple (i, j, k) with the first pattern id whose added
+# edges are the move's, as the blocked scan numbers it.  Under ++ a
 # zero-gain candidate ahead of it is accepted when dz < 0.  dz is computed
 # for those candidates alone (for every candidate it made ++ slower than
 # the blocked scan from n = 16 on), from the at most six endpoints of the
-# removed edges and the two edges each has after the move.  Endpoint slots
-# are padded with position n, never isolated, and its edges with A[0, 0].
+# removed edges: each is isolated before the move when both its tour edges
+# cost 2, and after it when both its edges on the moved tour do.  Endpoint
+# slots past a move's own are padded with A[0, 0], never isolated.
 #
 # The scan takes a stack of B position-cost matrices, read as one array of
 # (n+1)^2 rows with one column per matrix, so the same take and arithmetic
@@ -527,67 +514,53 @@ _GATHER_MAX = 1024
 
 @dataclass(frozen=True)
 class _Gather:
-    """Flat indices into the position-cost matrix and scan keys, one column
-    per candidate."""
+    """Flat indices into the position-cost matrix, one column per candidate,
+    and the candidates' scan keys."""
 
     edges: np.ndarray  # (6, m): removed edges in rows 0-2, added edges in rows 3-5
-    ends: np.ndarray  # (6, m): removed-edge endpoint positions
-    after: np.ndarray  # (12, m): rows 2s, 2s+1 are endpoint s's edges after the move
-    keys: np.ndarray  # (4, m): (i, j, k, pattern id), (i, j, 0, 0) for a pair
+    # (8k, m): rows 2s, 2s+1 are endpoint slot s's two tour edges, and rows
+    # 4k + 2s, 4k + 2s + 1 its two edges after the move.
+    dz: np.ndarray
+    keys: tuple[tuple, ...]  # (i, j) or (i, j, k, pattern id)
 
 
 @functools.cache
 def _gather_tables(n: int, k: int) -> _Gather:
     """The read-only gather tables of enumerate_kmoves(identity_tour(n), k)."""
     stride = n + 1
-    edges, ends, after, keys = [], [], [], []
+    edges, dz, keys = [], [], []
     for mv in enumerate_kmoves(identity_tour(n), k):
         removed = [u * stride + v for u, v in sorted(mv.removed)]
         added = [u * stride + v for u, v in sorted(mv.added)]
         pad = [0] * (3 - len(removed))
         edges.append(removed + pad + added + pad)
-        vs = sorted({v for e in mv.removed for v in e})
-        ends.append(vs + [n] * (6 - len(vs)))
-        flat = []
-        for v in vs:
-            kept = {canonical_edge((v - 1) % n, v), canonical_edge(v, (v + 1) % n)} - mv.removed
-            flat += [u * stride + w for u, w in sorted(kept) + [e for e in mv.added if v in e]]
-        after.append(flat + [0] * (12 - len(flat)))
+        ends = sorted({v for e in mv.removed for v in e})
+        before, after = [], []
+        for v in ends:
+            tour = {canonical_edge((v - 1) % n, v), canonical_edge(v, (v + 1) % n)}
+            before += sorted(tour)
+            after += sorted((tour - mv.removed) | {e for e in mv.added if v in e})
+        pad = [(0, 0)] * 2 * (2 * k - len(ends))
+        dz.append([u * stride + w for u, w in before + pad + after + pad])
         # Edge x joins x and x + 1, so the edge (0, n - 1) is position n - 1.
-        pos = sorted(u if v == u + 1 else v for u, v in mv.removed)
+        pos = tuple(sorted(u if v == u + 1 else v for u, v in mv.removed))
         if len(pos) == 2:
-            keys.append(pos + [0, 0])
+            keys.append(pos)
             continue
         # A triple's moves come in pattern id order: search past the last one's.
         pid = keys[-1][3] if keys and keys[-1][:3] == pos else 0
         labels = [(x + d) % n for x in pos for d in (0, 1)]
         while {canonical_edge(labels[x], labels[y]) for x, y in _PATTERNS[pid]} != mv.added:
             pid += 1
-        keys.append(pos + [pid + 1])
+        keys.append((*pos, pid + 1))
     tables = []
-    for rows in (edges, ends, after, keys):
+    for rows in (edges, dz):
         table = np.array(rows).T
         # The least unsigned type that holds every entry: uint8 for k = 3.
         table = np.ascontiguousarray(table, dtype=np.min_scalar_type(table.max()))
         table.flags.writeable = False
         tables.append(table)
-    return _Gather(*tables)
-
-
-@functools.cache
-def _gather_keys(n: int, k: int) -> tuple[tuple, ...]:
-    """The scan key of every column of the gather tables, decoded."""
-    keys = _gather_tables(n, k).keys.T.tolist()
-    return tuple((i, j) if pid == 0 else (i, j, kk, pid) for i, j, kk, pid in keys)
-
-
-@functools.cache
-def _cycle_entries(n: int) -> np.ndarray:
-    """Flat indices into an (n + 1)^2 position-cost matrix of tour edges
-    n - 1, 0, 1, ..., n - 1 (edge x costs A[x, x + 1]), then of A[0, 0] = 0."""
-    out = np.append((np.arange(-1, n) % n) * (n + 2) + 1, 0)
-    out.flags.writeable = False
-    return out
+    return _Gather(*tables, tuple(keys))
 
 
 def _gathered_key(stack: np.ndarray, k: int, plusplus: bool) -> list[tuple | None]:
@@ -610,7 +583,6 @@ def _gathered_key(stack: np.ndarray, k: int, plusplus: bool) -> list[tuple | Non
     ok = gain >= 1
     # Each matrix's first accepted candidate, or m.
     first = [f if ok.item(f, r) else m for r, f in enumerate(ok.argmax(axis=0).tolist())]
-    keys = _gather_keys(side - 1, k)
     if plusplus:
         # The zero-gain candidates ahead of each matrix's first.
         top = max(first)
@@ -619,19 +591,15 @@ def _gathered_key(stack: np.ndarray, k: int, plusplus: bool) -> list[tuple | Non
             zero &= np.arange(top)[:, None] < first
         col, row = zero.nonzero()
         if col.size:
-            # By position: x is isolated when edges x - 1 and x cost 2, n never is.
-            # By position: x is isolated when edges x - 1 and x cost 2, n never is.
-            heavy = costs.take(_cycle_entries(side - 1), axis=0) == 2
-            isolated = heavy[:-1] & heavy[1:]
+            heavy = costs.take(_entries(tables.dz.take(col, axis=1), row, rows)) == 2
+            isolated = heavy[0::2] & heavy[1::2]
+            slots = len(isolated) // 2
             # dz < 0: fewer of the endpoints are isolated after the move than before.
-            ends_heavy = costs.take(_entries(tables.after.take(col, axis=1), row, rows)) == 2
-            after = (ends_heavy[0::2] & ends_heavy[1::2]).sum(axis=0)
-            before = isolated.take(_entries(tables.ends.take(col, axis=1), row, rows))
-            merging = (after < before.sum(axis=0)).nonzero()[0]
+            merging = (isolated[slots:].sum(axis=0) < isolated[:slots].sum(axis=0)).nonzero()[0]
             # By column, so each matrix's first merging candidate comes first.
             for c, r in zip(col[merging].tolist(), row[merging].tolist()):
                 first[r] = min(first[r], c)
-    return [keys[f] if f < m else None for f in first]
+    return [tables.keys[f] if f < m else None for f in first]
 
 
 def _entries(index: np.ndarray, row: np.ndarray, rows: int) -> np.ndarray:

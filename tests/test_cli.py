@@ -583,6 +583,23 @@ class TestUsage:
         assert main([arg.format(inst=inst, tour=tour) for arg in argv]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["three-opt-lb", "--s", "0", "--k", "3"], "three-opt family needs s >= 3, got 0"),
+            (["three-opt-lb", "--s", "-2", "--k", "3"], "three-opt family needs s >= 3, got -2"),
+            (["two-opt-lb", "--n", "3", "--k", "2"], "two-opt family needs n >= 7, got 3"),
+        ],
+        ids=["three-opt-lb-s0", "three-opt-lb-s-2", "two-opt-lb-n3"],
+    )
+    def test_certify_family_bad_size(self, capsys, argv, message):
+        # The family's own size check comes first, as in gen, not a vertex count.
+        for full in (["certify", "--family", *argv], ["gen", "--family", *argv[:3]]):
+            assert main(full) == 2
+            captured = capsys.readouterr()
+            assert captured.err == f"error: {message}\n"
+            assert captured.out == ""
+
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "certify" in capsys.readouterr().out

@@ -61,7 +61,7 @@ from kopt12.moves import (
     _position_costs,
     _reconnect,
     _score_terms,
-    _triple_block,
+    _triple_row,
 )
 
 from conftest import instance_tour_pairs
@@ -314,10 +314,7 @@ def _gathered_sizes(k):
 
 def _gathered_keys(n, k):
     """The scan key of every column of the gather tables, in column order."""
-    return [
-        (i, j) if pid == 0 else (i, j, kk, pid)
-        for i, j, kk, pid in _gather_tables(n, k).keys.T.tolist()
-    ]
+    return list(_gather_tables(n, k).keys)
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -327,8 +324,9 @@ def test_gather_tables_decode_to_enumeration(k):
         tables = _gather_tables(n, k)
         keys = _gathered_keys(n, k)
         expected = list(enumerate_kmoves(tour, k))
-        assert tables.edges.shape[1] == len(expected) == neighborhood_size(n, k)
-        assert not any(t.flags.writeable for t in vars(tables).values())
+        assert tables.edges.shape[1] == tables.dz.shape[1] == len(expected) == len(keys)
+        assert len(keys) == neighborhood_size(n, k)
+        assert not (tables.edges.flags.writeable or tables.dz.flags.writeable)
         for column, mv in enumerate(expected):
             # Index 0 pads a 2-move's third edges: a cached edge (u, v) has u < v.
             removed, added = (
@@ -337,26 +335,24 @@ def test_gather_tables_decode_to_enumeration(k):
             )
             assert (removed, added) == (mv.removed, mv.added)
             assert _move_from_key(tour, keys[column]) == mv
-            # Each removed-edge end with its two edges on the moved tour.
-            after = apply_move(tour, mv).edge_set
+            # Each removed-edge end with its two edges on the tour, then on
+            # the moved tour; slots past the ends hold index 0, A[0, 0].
             ends = sorted({v for e in mv.removed for v in e})
-            pad = 6 - len(ends)
-            assert list(tables.ends[:, column]) == ends + [n] * pad
-            flat = tables.after[:, column]
-            assert list(flat[12 - 2 * pad :]) == [0] * 2 * pad
-            for slot, v in enumerate(ends):
-                pair = {divmod(int(f), n + 1) for f in flat[2 * slot : 2 * slot + 2]}
-                assert pair == {e for e in after if v in e}, (n, column, v)
+            flat = tables.dz[:, column].reshape(2, 2 * k, 2)
+            for edge_set, half in zip((tour.edge_set, apply_move(tour, mv).edge_set), flat):
+                assert not half[len(ends) :].any()
+                for v, pair in zip(ends, half):
+                    assert {divmod(int(f), n + 1) for f in pair} == {e for e in edge_set if v in e}
 
 
 def test_gather_tables_fit_their_budget():
-    # 24 indices and a 4-entry key per candidate, each table in the least
-    # unsigned type that holds it: 17,674 candidates up to the cap take 0.72 MiB.
-    tables = [
-        t for k in (2, 3) for n in _gathered_sizes(k) for t in vars(_gather_tables(n, k)).values()
-    ]
-    assert all(t.flags.c_contiguous and t.dtype.kind == "u" for t in tables)
-    assert sum(t.nbytes for t in tables) <= 2**20
+    # 6 edge and 8k endpoint-edge indices per candidate, each table in the
+    # least unsigned type that holds it: 17,674 candidates up to the cap take
+    # 0.70 MiB.
+    tables = [_gather_tables(n, k) for k in (2, 3) for n in _gathered_sizes(k)]
+    arrays = [a for t in tables for a in (t.edges, t.dz)]
+    assert all(a.flags.c_contiguous and a.dtype.kind == "u" for a in arrays)
+    assert sum(a.nbytes for a in arrays) <= 2**20
 
 
 def _shuffled_tour(n, seed):
@@ -381,7 +377,7 @@ def test_reconnect_matches_apply_move(k):
 @pytest.mark.parametrize("plusplus", [False, True])
 @pytest.mark.parametrize("k, n", [(2, 9), (3, 9), (3, 13), (2, 14), (3, 14), (3, 20), (3, 100)])
 def test_local_search_follows_reference_chain(monkeypatch, k, n, plusplus):
-    # n = 9 and 13 scan k = 3 by the gather, 14 and up by blocks; p = 6/n.
+    # n = 9 and 13 scan k = 3 by the gather, 14 and up by rows; p = 6/n.
     seed = n * 10 + k + plusplus
     instance = random_instance(n, 6 / n, seed)
     start = _shuffled_tour(n, seed)
@@ -478,16 +474,9 @@ def test_scan_matches_enumeration_at_gather_cap(k, plusplus):
         _assert_scan_matches_along_descent(instance, Tour(tuple(order)), k, plusplus)
 
 
-@pytest.fixture
-def one_row_blocks(monkeypatch):
-    """Make every triple block a single leading row."""
-    monkeypatch.setattr(moves, "_BLOCK", 1)
-
-
 @pytest.mark.parametrize("plusplus", [False, True])
 @pytest.mark.parametrize("k", [2, 3])
-def test_one_row_blocks_match_enumeration_along_descents(one_row_blocks, k, plusplus):
-    assert list(moves._row_blocks(7)) == [(i, i + 1) for i in range(7)]
+def test_one_row_blocks_match_enumeration_along_descents(k, plusplus):
     for n in range(5, 21):
         seed = n * 100 + k * 10 + plusplus
         instance = random_instance(n, (0.1, 0.3, 0.5, 0.7)[n % 4], seed)
@@ -681,7 +670,7 @@ def _assert_first_found(n, *keys):
 
 
 @pytest.mark.parametrize("pid", [1, 2, 3, 4])
-def test_only_move_in_last_block_one_row(one_row_blocks, pid):
+def test_only_move_in_last_block_one_row(pid):
     n = 20
     # The last leading row that holds a non-adjacent triple.
     _assert_first_found(n, (n - 5, n - 3, n - 1, pid))
@@ -689,8 +678,6 @@ def test_only_move_in_last_block_one_row(one_row_blocks, pid):
 
 def test_only_move_in_last_block():
     n = 48
-    blocks = list(moves._row_blocks(n))
-    assert len(blocks) > 1 and blocks[-1][0] <= n - 5
     _assert_first_found(n, (n - 5, n - 3, n - 1, 2))
 
 
@@ -724,7 +711,7 @@ def test_least_of_two_adjacent_pair_moves(keys):
     [
         pytest.param(False, None, id="False"),
         pytest.param(True, None, id="True"),
-        # Certificates of the families' tours (n = 400 and 402) visit every block.
+        # Certificates of the families' tours (n = 400 and 402) visit every row.
         pytest.param(False, 50, id="certify-three-opt-lb-s50"),
         pytest.param(True, 67, id="certify-three-opt-pp-lb-s67"),
     ],
@@ -752,6 +739,30 @@ def test_scan_peak_within_byte_budget(plusplus, s):
     assert peak <= moves._SCAN_BYTES_PER_ENTRY[3] * instance.n**2
 
 
+@pytest.mark.parametrize("plusplus", [False, True])
+def test_scan_peak_below_n_256_holds_one_row(plusplus):
+    # Below n = 256 a triple row has fewer than 2^16 entries, so fixed costs
+    # weigh more per n^2 entry.  When the only cost-2 edges are the tour's,
+    # row 0 holds an accepted triple and the scan builds no other row: at
+    # n = 72 it peaks at 35.8 (plain) and 27.8 (++) bytes per n^2 entry,
+    # where building 13 rows at once takes 58.1 and 50.1.
+    n = 72
+    tour = identity_tour(n)
+    instance = Instance.from_pairs(
+        n, (e for e in itertools.combinations(range(n), 2) if e not in tour.edge_set)
+    )
+    certify = certify_kpp_optimal if plusplus else certify_k_optimal
+    instance.cost_matrix  # cached, so only the scan is measured
+    tracemalloc.start()
+    try:
+        verdict = certify(instance, tour, 3).verdict
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict == "non-optimal"
+    assert peak <= 44 * n**2
+
+
 @pytest.mark.parametrize("plusplus, per_entry", [(False, 8), (True, 10)])
 def test_pair_scan_peak_within_byte_budget(plusplus, per_entry):
     # Plain peaks at 7 bytes per n^2 entry only if the scan drops the
@@ -772,19 +783,13 @@ def test_pair_scan_peak_within_byte_budget(plusplus, per_entry):
 @pytest.mark.parametrize("plusplus", [False, True])
 @pytest.mark.parametrize("n", [48, 64])
 def test_multi_block_scan_matches_enumeration(n, plusplus):
-    # Contiguous blocks of ceil(_BLOCK / n^2) rows each, all but the last.
-    blocks = list(moves._row_blocks(n))
-    rows = -(-moves._BLOCK // (n * n))
-    assert len(blocks) > 1 and blocks[0][0] == 0 and blocks[-1][1] == n
-    assert all(hi == lo2 for (_, hi), (lo2, _) in zip(blocks, blocks[1:]))
-    assert all(hi - lo == rows for lo, hi in blocks[:-1])
     seed = n + plusplus
     instance = random_instance(n, 6 / n, seed)
     tour, _ = local_search(instance, k=3, plusplus=plusplus, seed=seed)
-    # A locally optimal tour: every block is scanned and none accepts.
+    # A locally optimal tour: every row is scanned and none accepts.
     assert find_improving(instance, tour, 3, plusplus) is None
     assert find_improving_by_enumeration(instance, tour, 3, plusplus) is None
-    # One worsening 2-move away from it, the scan stops at an early block.
+    # One worsening 2-move away from it, the scan stops at an early row.
     worse = apply_move(tour, _move_from_key(tour, (n - 9, n - 3)))
     expected = find_improving_by_enumeration(instance, worse, 3, plusplus)
     assert find_improving(instance, worse, 3, plusplus) == expected
@@ -813,7 +818,7 @@ def _score_by_key(instance, tour, plusplus):
     n = instance.n
     terms, adjacent = _score_terms(_position_costs(instance, tour.order), 3, plusplus)
     pair = terms[0, 0] + terms[1, 1]
-    patterns = [_triple_block(terms, ends, 0, n) for ends in _PATTERN_ENDS]
+    patterns = [np.stack([_triple_row(terms, ends, i) for i in range(n)]) for ends in _PATTERN_ENDS]
     out = {}
     for i in range(n):
         for j in range(i + 2, n):
