@@ -166,7 +166,6 @@ def distribute_counters(instance: Instance, tour: Tour, optimal_tour: Tour) -> C
     """Place counters as described in the module docstring."""
     dec = one_path_decomposition(instance, tour)
     f = tour_cost(instance, optimal_tour) - instance.n
-    c = instance.cost_matrix
     # Each 1-path is followed by exactly one cost-2 tour edge.
     l = len(dec.paths)
     nbr = _neighbours(optimal_tour)
@@ -175,8 +174,8 @@ def distribute_counters(instance: Instance, tour: Tour, optimal_tour: Tour) -> C
         kinds = ("good", "good") if len(path) == 1 else ("bad",)
         for v in sorted({path[0], path[-1]}):
             for w in sorted(nbr[v]):
-                if c[v, w] == 1:
-                    counters += [Counter(kind, w, pid, canonical_edge(v, w)) for kind in kinds]
+                if (e := canonical_edge(v, w)) in instance.cost1:
+                    counters += [Counter(kind, w, pid, e) for kind in kinds]
     return CounterLedger(
         counters=tuple(counters),
         h=instance.n - l,
@@ -204,10 +203,10 @@ def _property_1(ledger: CounterLedger) -> tuple | None:
 
 def _property_2(ledger: CounterLedger, tnbr: _Nbrs) -> tuple | None:
     """Two vertices holding good counters are never tour neighbours, and no
-    common tour neighbour holds any counter."""
-    goods = sorted(ledger.good_holders)
-    for ia, a in enumerate(goods):
-        for b in goods[ia + 1 :]:
+    common tour neighbour holds any counter; only those two apart can clash."""
+    goods = ledger.good_holders
+    for a in sorted(goods):
+        for b in sorted({x for w in tnbr[a] for x in (w, *tnbr[w]) if x > a} & goods):
             if b in tnbr[a]:
                 return (a, b)
             for w in sorted(set(tnbr[a]) & set(tnbr[b])):
@@ -231,11 +230,10 @@ def _property_3(ledger: CounterLedger) -> tuple | None:
 def _property_4(instance: Instance, ledger: CounterLedger, tnbr: _Nbrs) -> tuple | None:
     """An endpoint holding a counter has no cost-1 tour neighbour that
     holds a good counter."""
-    c = instance.cost_matrix
     for path in ledger.decomposition.paths:
         for p in sorted({path[0], path[-1]} & ledger.held.keys()):
             for w in sorted(tnbr[p]):
-                if c[p, w] == 1 and w in ledger.good_holders:
+                if canonical_edge(p, w) in instance.cost1 and w in ledger.good_holders:
                     return (p, w)
     return None
 

@@ -65,41 +65,39 @@ def find_forbidden_constellation(
     edge {a, b} strictly inside that arc with c(a, u) = c(b, v) = 1, a on
     the side of p.  All six vertices are distinct.  A 3-optimal tour
     cannot contain one.
+
+    From each heavy edge (u, p) at position pu, ascending, the walk steps to
+    each cost-1 neighbour a of u, to b after a, and to each cost-1 neighbour
+    v of b with a heavy edge into v; the least offsets (v's, a's) win.
     """
     heavy = _heavy_edges(instance, tour).tolist()
     n = instance.n
-    if n < 6:
-        return None
     o = tour.order
-    c = instance.cost_matrix
+    pos = {x: i for i, x in enumerate(o)}
+    nbrs = instance.cost1_neighbors
     for pu in range(n):
         if not heavy[pu]:
             continue
-        u, p = o[pu], o[(pu + 1) % n]
-        for off in range(3, n):
-            pv = (pu + off) % n
-            if not heavy[pv - 1]:
-                continue
-            v, q = o[pv], o[pv - 1]
-            for s in range(1, off - 1):
-                a = o[(pu + s) % n]
-                b = o[(pu + s + 1) % n]
-                if c[a, u] == 1 and c[b, v] == 1:
-                    return (p, q, u, v, a, b)
+        found = [
+            (off, s)
+            for a in nbrs[o[pu]]
+            for s in [(pos[a] - pu) % n]
+            for v in nbrs[o[(pu + s + 1) % n]]
+            for off in [(pos[v] - pu) % n]
+            if off - s >= 2 and heavy[pos[v] - 1]
+        ]
+        if found:
+            off, s = min(found)
+            return tuple(o[(pu + i) % n] for i in (1, off - 1, 0, off, s, s + 1))
     return None
 
 
 def endpoint_pair_violations(instance: Instance, dec: PathDecomposition) -> list[tuple[int, int]]:
     """Cost-1 pairs of endpoints taken from two different 1-paths of dec, sorted."""
-    if len(dec.paths) < 2:
-        return []
-    c = instance.cost_matrix
-    ends = [sorted({path[0], path[-1]}) for path in dec.paths]
-    found: set[tuple[int, int]] = set()
-    for ia in range(len(ends)):
-        for ib in range(ia + 1, len(ends)):
-            for x in ends[ia]:
-                for y in ends[ib]:
-                    if c[x, y] == 1:
-                        found.add(canonical_edge(x, y))
-    return sorted(found)
+    owner = {v: pid for pid, path in enumerate(dec.paths) for v in (path[0], path[-1])}
+    if not all(0 <= v < instance.n for v in owner):
+        raise InvalidArgumentError(f"decomposition names a vertex outside 0..{instance.n - 1}")
+    nbrs = instance.cost1_neighbors
+    return sorted(
+        {canonical_edge(x, y) for x, i in owner.items() for y in nbrs[x] if owner.get(y, i) != i}
+    )

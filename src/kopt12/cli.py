@@ -94,6 +94,8 @@ def structural_checks(
     Returns (ok, label of the first failed check).  The pp predicate adds
     its per-path counter limits and the tighter 2h counter budget.
     """
+    if predicate not in ("plain", "pp"):
+        raise InvalidArgumentError(f"unknown predicate {predicate!r}")
     ledger = distribute_counters(instance, tour, optimal_tour)
     report = check_counter_properties(instance, ledger)
     if not report.all_pass:

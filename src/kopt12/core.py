@@ -128,10 +128,12 @@ class Instance:
 
     @cached_property
     def cost1_neighbors(self) -> tuple[tuple[int, ...], ...]:
-        """For each vertex, the sorted vertices joined to it by a cost-1 edge."""
-        indptr, indices = self.cost1_csr
-        flat = indices.tolist()
-        return tuple(tuple(flat[a:b]) for a, b in zip(indptr[:-1].tolist(), indptr[1:].tolist()))
+        """Each vertex's cost-1 neighbours, ascending, as walked from sorted(cost1)."""
+        nbrs = [[] for _ in range(self.n)]
+        for u, v in sorted(self.cost1):
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+        return tuple(map(tuple, nbrs))
 
 
 def cost_edge(instance: Instance, u: int, v: int) -> int:
