@@ -96,39 +96,30 @@ class Instance:
 
     @cached_property
     def cost_matrix(self) -> np.ndarray:
-        """Dense n-by-n cost lookup (uint8); the diagonal is 0 and unused."""
+        """Dense n-by-n cost lookup (uint8), scattered from cost1_csr; the
+        diagonal is 0 and unused."""
         m = np.full((self.n, self.n), 2, dtype=np.uint8)
-        if self.cost1:
-            idx = np.array(sorted(self.cost1), dtype=np.intp)
-            m[idx[:, 0], idx[:, 1]] = 1
-            m[idx[:, 1], idx[:, 0]] = 1
+        indptr, indices = self.cost1_csr
+        m[np.repeat(np.arange(self.n), np.diff(indptr)), indices] = 1
         np.fill_diagonal(m, 0)
         return m
-
-    @cached_property
-    def cost1_degree(self) -> np.ndarray:
-        """For each vertex, the number of cost-1 edges at it."""
-        return np.diff(self.cost1_csr[0])
 
     @cached_property
     def cost1_csr(self) -> tuple[np.ndarray, np.ndarray]:
         """Cost-1 neighbours as compressed sparse rows (indptr, indices): the
         neighbours of v, ascending, are indices[indptr[v]:indptr[v + 1]].
 
-        It is built from cost1 alone, in O(e log e) for e cost-1 edges, and
-        takes 16 bytes per edge, a fraction of what cost1 holds.
+        It flattens cost1_neighbors and takes 16 bytes per edge.
         """
-        ends = np.fromiter(itertools.chain.from_iterable(self.cost1), np.intp, 2 * len(self.cost1))
-        u, v = ends[0::2], ends[1::2]
-        # Both directions of every edge as flat indices u * n + v, row by row.
-        flat = np.sort(np.concatenate((u * self.n + v, v * self.n + u)))
+        nbrs = self.cost1_neighbors
         indptr = np.zeros(self.n + 1, dtype=np.intp)
-        np.cumsum(np.bincount(flat // self.n, minlength=self.n), out=indptr[1:])
-        return indptr, flat % self.n
+        np.cumsum(np.fromiter(map(len, nbrs), np.intp, self.n), out=indptr[1:])
+        return indptr, np.fromiter(itertools.chain.from_iterable(nbrs), np.intp, indptr[-1])
 
     @cached_property
     def cost1_neighbors(self) -> tuple[tuple[int, ...], ...]:
-        """Each vertex's cost-1 neighbours, ascending, as walked from sorted(cost1)."""
+        """Each vertex's cost-1 neighbours, ascending: the one walk of cost1,
+        in sorted order, that cost1_csr and cost_matrix derive from."""
         nbrs = [[] for _ in range(self.n)]
         for u, v in sorted(self.cost1):
             nbrs[u].append(v)

@@ -55,7 +55,9 @@ the gain criterion of Lin & Kernighan (1973), in O(l d^2) candidates for
 light degree at most d, and never builds the (n+1)^2 position costs.  Each
 step takes whichever of the anchored and blocked scans an O(l) estimate of
 the walks finds cheaper, and always the anchored one when the blocked
-tables would pass the dense-table cap.  The generator with
+tables would pass the dense-table cap.  Above the gather cap a ++ scan of
+a tour with no isolated vertex is a plain scan: no move lowers a count of
+zero, so ++ accepts exactly the moves of gain >= 1.  The generator with
 is_improving_pp is the reference semantics, and the tests check every scan
 against it.
 
@@ -306,20 +308,17 @@ _Tables = dict[tuple[int, int], np.ndarray]
 _SCAN_BYTES_PER_ENTRY = {2: 10, 3: 24}
 
 
-def _position_costs(
-    instance: Instance, order: tuple[int, ...] | np.ndarray, dtype: type = np.int16
-) -> np.ndarray:
-    """Cost matrix indexed by position in the tour order (a sequence of
-    vertices); position n is position 0 again.
+def _position_costs(instance: Instance, order: tuple[int, ...] | np.ndarray) -> np.ndarray:
+    """Cost matrix (int16) indexed by position in the tour order (a sequence
+    of vertices); position n is position 0 again.
 
     So A[x + a, y + b] for all positions x, y is the slice A[a:a+n, b:b+n].
-    The gathered scan's sums fit int8; the blocked scan's need int16.
     """
     n = instance.n
     o = np.empty(n + 1, dtype=np.intp)
     o[:n] = order
     o[n] = o[0]
-    return instance.cost_matrix.take(o, axis=0).take(o, axis=1).astype(dtype)
+    return instance.cost_matrix.take(o, axis=0).take(o, axis=1).astype(np.int16)
 
 
 def _score_terms(
@@ -754,10 +753,11 @@ def _chunks(weights: np.ndarray) -> Iterator[slice]:
 def _anchored_candidates(instance: Instance, order: np.ndarray, heavy: np.ndarray, k: int) -> float:
     """Estimated candidates of the anchored scan, in O(l): the light edges at
     the heavy edges' ends, times the walks each starts for k = 3."""
-    degree = instance.cost1_degree
+    indptr = instance.cost1_csr[0]
     x = np.flatnonzero(heavy)
-    steps = int(degree[order[x]].sum() + degree[order[(x + 1) % len(order)]].sum())
-    return steps if k == 2 else 4 * steps * degree.mean()
+    ends = order[np.concatenate((x, (x + 1) % len(order)))]
+    steps = int((indptr[ends + 1] - indptr[ends]).sum())
+    return steps if k == 2 else 4 * steps * (indptr[-1] / len(order))
 
 
 def _anchored_key(instance: Instance, order: np.ndarray, heavy: np.ndarray, k: int) -> tuple | None:
@@ -836,13 +836,16 @@ def _anchored_key(instance: Instance, order: np.ndarray, heavy: np.ndarray, k: i
 def _scan_key(instance: Instance, order: np.ndarray, k: int, plusplus: bool) -> tuple | None:
     """Least accepted scan key of the tour order (an int array), or None, by
     the gathered scan for small neighborhoods and otherwise by the blocked
-    scan, or under the plain predicate by the anchored one when it is
-    estimated cheaper or the blocked scan would pass the dense-table cap."""
+    scan, or under the plain predicate (to which ++ reduces on a tour with
+    no isolated vertex) by the anchored one when it is estimated cheaper or
+    the blocked scan would pass the dense-table cap."""
     n = instance.n
     if neighborhood_size(n, k) <= _GATHER_MAX:
-        return _gathered_key(_position_costs(instance, order, np.int8)[None], k, plusplus)[0]
+        return _gathered_key(_position_costs(instance, order)[None], k, plusplus)[0]
+    heavy = _order_heavy(instance, order)
+    # With no isolated vertex no move lowers their count: ++ accepts what plain does.
+    plusplus = plusplus and bool((heavy[:-1] & heavy[1:]).any() or heavy[-1] & heavy[0])
     if not plusplus:
-        heavy = _order_heavy(instance, order)
         if _blocked_over_cap(n, k) or (
             _ANCHOR_COST[k] * _anchored_candidates(instance, order, heavy, k) < n * n
         ):

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
-import numpy as np
+import itertools
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from kopt12 import (
@@ -87,15 +88,34 @@ def test_cost_edge_values(hexa):
         cost_edge(hexa, 0, 6)
 
 
-@given(instances())
+@st.composite
+def any_density(draw) -> Instance:
+    """An instance on 3 to 12 vertices, sparse or, by its complement, dense."""
+    instance = draw(instances(min_n=3, max_n=12))
+    if draw(st.booleans()):
+        n = instance.n
+        pairs = {(u, v) for u in range(n) for v in range(u + 1, n)}
+        instance = Instance(n, frozenset(pairs - instance.cost1))
+    return instance
+
+
+@example(Instance(3, frozenset()))
+@given(any_density())
 def test_cost_matrix_matches_cost_edge(instance):
+    # Every view of cost1: the neighbour lists, the rows they flatten to and
+    # the matrix scattered from those rows.
     m = instance.cost_matrix
+    indptr, indices = instance.cost1_csr
+    nbrs = instance.cost1_neighbors
     n = instance.n
     assert m.shape == (n, n)
+    assert len(nbrs) == n and indptr[0] == 0 and len(indptr) == n + 1
     for u in range(n):
         assert m[u, u] == 0
-        for v in range(u + 1, n):
-            assert m[u, v] == m[v, u] == cost_edge(instance, u, v)
+        assert indices[indptr[u] : indptr[u + 1]].tolist() == list(nbrs[u])
+        for v in range(n):
+            if v != u:
+                assert m[u, v] == cost_edge(instance, u, v) == (1 if v in nbrs[u] else 2)
 
 
 @pytest.mark.parametrize(
@@ -108,14 +128,16 @@ def test_cost_matrix_matches_cost_edge(instance):
     ],
 )
 def test_cost1_csr_matches_the_cost_matrix(instance):
-    # Built from the edge list, the rows and degrees are those of the dense matrix.
-    light = instance.cost_matrix == 1
+    # The matrix is scattered from the CSR, so the rows are checked against
+    # cost1 itself: each vertex's cost-1 neighbours, ascending.
+    rows = [[] for _ in range(instance.n)]
+    for u, v in instance.cost1:
+        rows[u].append(v)
+        rows[v].append(u)
     indptr, indices = instance.cost1_csr
-    degree = np.count_nonzero(light, axis=1)
-    assert indptr.tolist() == [0, *np.cumsum(degree).tolist()]
-    assert instance.cost1_degree.tolist() == degree.tolist()
+    assert indptr.tolist() == list(itertools.accumulate(map(len, rows), initial=0))
     for v in range(instance.n):
-        assert indices[indptr[v] : indptr[v + 1]].tolist() == np.flatnonzero(light[v]).tolist()
+        assert indices[indptr[v] : indptr[v + 1]].tolist() == sorted(rows[v])
 
 
 def test_cost1_neighbors(hexa):

@@ -60,6 +60,7 @@ from kopt12.moves import (
     _move_from_key,
     _position_costs,
     _reconnect,
+    _scan_key,
     _score_terms,
     _triple_row,
 )
@@ -491,11 +492,11 @@ def test_one_row_blocks_match_enumeration_along_descents(k, plusplus):
 # ---------------------------------------------------------------------------
 
 
-def _plain_descent(instance, order, k):
-    """Yield (order, blocked key) at every step of a plain descent, the last
-    with key None."""
+def _blocked_descent(instance, order, k, plusplus=False):
+    """Yield (order, blocked key) at every step of a descent, the last with
+    key None."""
     while True:
-        key = _least_key(_position_costs(instance, order), k, False)
+        key = _least_key(_position_costs(instance, order), k, plusplus)
         yield order, key
         if key is None:
             return
@@ -514,7 +515,7 @@ def test_anchored_scan_matches_blocked_along_plain_descents(k):
         seed = n * 1000 + int(p * 1000) + k
         instance = random_instance(n, p, seed)
         start = np.array(_shuffled_tour(n, seed).order, dtype=np.intp)
-        for order, key in _plain_descent(instance, start, k):
+        for order, key in _blocked_descent(instance, start, k):
             heavy = _order_heavy(instance, order)
             assert _anchored_key(instance, order, heavy, k) == key, (n, p, order.tolist())
             sides.add(_ANCHOR_COST[k] * _anchored_candidates(instance, order, heavy, k) < n * n)
@@ -727,15 +728,25 @@ def test_scan_peak_within_byte_budget(plusplus, s):
     else:
         family = (gen_three_opt_pp_lb if plusplus else gen_three_opt_lb)(s)
         instance, tour = family.instance, family.tour
-    certify = certify_kpp_optimal if plusplus else certify_k_optimal
+
+    def verdict():
+        if plusplus and s is not None:
+            # The family's tour has no isolated vertex, so its certificate
+            # takes the plain scan: the blocked ++ scan is called directly.
+            assert count_zero_paths(instance, tour) == 0
+            key = _least_key(_position_costs(instance, tour.order), 3, True)
+            return "optimal" if key is None else "non-optimal"
+        certify = certify_kpp_optimal if plusplus else certify_k_optimal
+        return certify(instance, tour, 3).verdict
+
     instance.cost_matrix  # cached, so only the scan is measured
     tracemalloc.start()
     try:
-        verdict = certify(instance, tour, 3).verdict
+        found = verdict()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert verdict == ("non-optimal" if s is None else "optimal")
+    assert found == ("non-optimal" if s is None else "optimal")
     assert peak <= moves._SCAN_BYTES_PER_ENTRY[3] * instance.n**2
 
 
@@ -802,15 +813,69 @@ def test_multi_block_scan_matches_enumeration(n, plusplus):
 def test_pp_scan_matches_enumeration_on_merging_family():
     family = gen_three_opt_pp_lb(6)
     instance, tour = family.instance, family.tour
+    # The tour has no isolated vertex, so find_improving takes the plain scan
+    # for k = 3: the blocked ++ scan is called directly.
+    assert count_zero_paths(instance, tour) == 0
     for k in (2, 3):
         assert find_improving(instance, tour, k, plusplus=True) is None
         assert find_improving_by_enumeration(instance, tour, k, plusplus=True) is None
+        assert _least_key(_position_costs(instance, tour.order), k, True) is None
     order = list(tour.order)
     order[5], order[20] = order[20], order[5]
     perturbed = Tour(tuple(order))
     first = find_improving(instance, perturbed, 3, plusplus=True)
     assert first is not None and first.gain == 0
     _assert_scan_matches_along_descent(instance, perturbed, 3)
+
+
+# ---------------------------------------------------------------------------
+# ++ on tours with no isolated vertex: no move lowers a count of zero, so
+# above the gather cap _scan_key runs the plain scan.
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_pp_scan_matches_blocked_along_pp_descents(k):
+    without = 0
+    cases = [(14, 0.3), (20, 0.15), (31, 0.1), (47, 0.1), (47, 0.3), (64, 0.06)]
+    cases += [(100, 0.05), (100, 0.1), (140, 0.03), (200, 0.025)]
+    for n, p in cases:
+        seed = n * 1000 + int(p * 1000) + k
+        instance = random_instance(n, p, seed)
+        start = np.array(_shuffled_tour(n, seed).order, dtype=np.intp)
+        for order, key in _blocked_descent(instance, start, k, True):
+            assert _scan_key(instance, order, k, True) == key, (n, p, order.tolist())
+            if neighborhood_size(n, k) > moves._GATHER_MAX:
+                without += count_zero_paths(instance, Tour(tuple(order.tolist()))) == 0
+    assert without > 0
+
+
+@pytest.mark.parametrize("k, n", [(2, 48), (2, 56), (3, 16), (3, 24), (3, 40)])
+def test_pp_scan_without_isolated_vertices_matches_enumeration(k, n):
+    # A ++ local optimum and tours one random move away from it; those with
+    # no isolated vertex are scanned.
+    rng = random.Random(n * 10 + k)
+    instance = random_instance(n, 5 / n, n + k)
+    optimum, _ = local_search(instance, k=k, plusplus=True, seed=n)
+    tours = [optimum] + [
+        apply_move(optimum, _move_from_key(optimum, _random_key(rng, n, k))) for _ in range(8)
+    ]
+    tours = [tour for tour in tours if count_zero_paths(instance, tour) == 0]
+    assert len(tours) >= 4
+    for tour in tours:
+        expected = find_improving_by_enumeration(instance, tour, k, plusplus=True)
+        assert find_improving(instance, tour, k, plusplus=True) == expected
+
+
+def test_pp_certificate_without_isolated_vertices_skips_the_blocked_scan(monkeypatch):
+    family = gen_three_opt_pp_lb(50)
+    assert count_zero_paths(family.instance, family.tour) == 0
+
+    def refuse(A, k, plusplus):
+        raise AssertionError("the blocked scan ran")
+
+    monkeypatch.setattr(moves, "_least_key", refuse)
+    assert certify_kpp_optimal(family.instance, family.tour, 3).verdict == "optimal"
 
 
 def _score_by_key(instance, tour, plusplus):
