@@ -96,7 +96,7 @@ def parse_tour(text: str) -> Tour:
 
 def _read_text(path: str | Path) -> str:
     try:
-        return Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not a text file ({exc.reason})") from None
 
@@ -106,7 +106,7 @@ def read_instance(path: str | Path) -> Instance:
 
 
 def write_instance(instance: Instance, path: str | Path) -> None:
-    Path(path).write_text(format_instance(instance))
+    Path(path).write_text(format_instance(instance), encoding="utf-8")
 
 
 def read_tour(path: str | Path) -> Tour:
@@ -114,4 +114,4 @@ def read_tour(path: str | Path) -> Tour:
 
 
 def write_tour(tour: Tour, path: str | Path) -> None:
-    Path(path).write_text(format_tour(tour))
+    Path(path).write_text(format_tour(tour), encoding="utf-8")

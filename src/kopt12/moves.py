@@ -27,12 +27,14 @@ sums one term per added edge, with each removed edge's own term folded into
 the added edge at its end 0.  A candidate is accepted when its score is at
 least 1 (gain >= 1, or under ++ also gain = 0 and dz < 0), and the scan
 returns the least accepted key: the move the generator would accept first.
-Keys order by leading position first, so the n^3 triple tables are built
-one leading row of n^2 entries at a time, in ascending order, and the scan
-stops at the first row that holds an accepted candidate.  A descent step
-thus usually builds only the first rows, and a certificate scan, which
-visits every row, holds its n^2 tables and one row at a time.  Each table
-is searched by one argmax.
+Keys order by leading position first, so the scan builds one lead row of
+n^2 entries at a time, in ascending order, and each lead row holds every
+key that leads with its position: the triples, and in the entries that
+name no triple the 2-moves and adjacent-pair triples.  The scan stops at
+the first row that holds an accepted candidate.  A descent step thus
+usually builds only the first rows, and a certificate scan, which visits
+every row, holds its n^2 tables and one row at a time.  Each row is
+searched by one argmax.
 
 A neighborhood of at most _GATHER_MAX candidates (k = 3 up to n = 13, k = 2
 up to n = 46) skips the tables and is scanned by one gather.  Index arrays
@@ -92,7 +94,6 @@ from .core import (
     _heavy_edges,
     _order_heavy,
     canonical_edge,
-    check_dense_bytes,
     check_dense_size,
     cost_edge,
     cycle_from_edges,
@@ -284,16 +285,15 @@ def is_improving_pp(instance: Instance, tour: Tour, move: KMove) -> bool:
 #
 # The n^2 tables are built once per call: the pair table over (i, j), and
 # for k = 3 the table over (x, y) for the single pure reconnection of the
-# adjacent pair (x, x+1) plus the edge y.  _first_accepted searches views
-# in whose row-major order keys ascend: the pair table, and the adjacent
-# table's row x = n-1 (keys (0, y, n-1, 1)), upper triangle (x, x+1, y, 2)
-# and transposed lower triangle (y, x, x+1, 2), each for its least accepted
-# key.  The four pattern tables over the pairwise non-adjacent triples
-# (i, j, k) hold n^3 entries.  They are built one leading row i of n^2
-# entries at a time, in ascending i.  Keys compare by i first, so the scan
-# stops at the first row that holds an accepted triple, or once i passes the
-# leading index of the least pair or adjacent-pair key.  A scan thus holds
-# one pattern's row of n^2 entries at a time on top of the n^2 tables.
+# adjacent pair (x, x+1) plus the edge y.  For k = 2 one argmax over the
+# pair table finds the least key.  The four pattern tables over the pairwise
+# non-adjacent triples (i, j, k) hold n^3 entries.  They are built one lead
+# row i of n^2 entries over (j, k) at a time, in ascending i.  The entries of
+# a row that name no triple take every pair and adjacent-pair key that leads
+# with i, where it sorts among the triples, so the row holds every key that
+# leads with i in row-major order, and the scan stops at the first row that
+# holds an accepted entry.  A scan thus holds one pattern's row of n^2
+# entries at a time on top of the n^2 tables.
 # ---------------------------------------------------------------------------
 
 # Score term of a position pair that no candidate removes together.
@@ -301,10 +301,10 @@ _REJECT = -1000
 # Score term tables by the removed-edge ends (ex, ey) their added edges join.
 _Tables = dict[tuple[int, int], np.ndarray]
 # Peak bytes of one scan per n^2 entry, by k, rounded up from tracemalloc:
-# k = 2 at n = 400 and 800: 7 (plain), 9.3 (++); k = 3 at n = 400 to 1,600
-# with only the tour's edges at cost 2, and certificates at n = 1,600: 15.0
-# (plain), 20.2 (++); family certificates at n = 204 to 800: 14.2 (plain),
-# 22.3 (++).
+# k = 2 at n = 400 and 800: 7 (plain), 9.3 (++); k = 3 at n = 400 and 800
+# with only the tour's edges at cost 2: 16.3 (plain), 20.3 (++), and
+# certificates at n = 1,600: 15.0 (plain), 20.2 (++); family certificates
+# at n = 204 to 800: 14.2 (plain), 22.3 (++).
 _SCAN_BYTES_PER_ENTRY = {2: 10, 3: 24}
 
 
@@ -397,41 +397,42 @@ def _least_key(A: np.ndarray, k: int, plusplus: bool) -> tuple | None:
     reject[0, n - 1] = _REJECT
     for t in terms.values():
         t += reject
-    keys = []
-    if k == 3:
-        # The adjacent pair (x, x+1) needs y + 1 <= x - 1 or y >= x + 3 (cyclically).
-        adjacent[idx[:, None], (idx[:, None] + (-1, 0, 1, 2)) % n] = _REJECT
-        # Near a local optimum no adjacent pair is accepted: one search skips the views.
-        if _first_accepted(adjacent) is not None:
-            flat = _first_accepted(adjacent[n - 1])  # the wrap pair (n-1, 0), by y
-            if flat is not None:
-                keys.append((0, flat, n - 1, 1))
-            # reject rejects every entry with y < x, and transposed every one with y > x.
-            flat = _first_accepted(adjacent[:-1] + reject[:-1])  # by x then y
-            if flat is not None:
-                keys.append((flat // n, flat // n + 1, flat % n, 2))
-            flat = _first_accepted(adjacent[:-1].T + reject[:, :-1])  # by y then x
-            if flat is not None:
-                keys.append((flat // (n - 1), flat % (n - 1), flat % (n - 1) + 1, 2))
     del reject
-    flat = _first_accepted(terms[0, 0] + terms[1, 1])
-    if flat is not None:
-        keys.append(divmod(flat, n))
-    best = min(keys, default=None)
+    pairs = terms[0, 0] + terms[1, 1]
     if k == 2:
-        return best
-    # A triple (i, j, k) has i <= n - 5; a lead past the least key's is never less.
-    for i in range(n - 4 if best is None else min(n - 4, best[0] + 1)):
-        found = None
+        flat = _first_accepted(pairs)
+        return None if flat is None else divmod(flat, n)
+    # The adjacent pair (x, x+1) needs y + 1 <= x - 1 or y >= x + 3 (cyclically).
+    adjacent[idx[:, None], (idx[:, None] + (-1, 0, 1, 2)) % n] = _REJECT
+    # Near a local optimum no pair or adjacent pair is accepted, and no row writes them.
+    pairs = pairs if (pairs >= 1).any() else None
+    adjacent = adjacent if (adjacent >= 1).any() else None
+    # Row i of a pattern holds its triples (i, j, k) at (j, k).  Entries that
+    # name no triple hold the other keys that lead with i, where they sort:
+    # the pair (i, j) at (j, j) of pattern 1, and in pattern 2 the adjacent
+    # pair (i, i+1) plus edge y at (i+1, y) and edge i plus the pair (y, y+1)
+    # at (y, y+1); row 0 of pattern 1 holds the wrap pair (n-1, 0) plus edge
+    # y at (y, n-1).  Triples lead with i <= n - 5, so rows n - 4 and n - 3
+    # hold pairs and adjacent pairs only.
+    for i in range(n - 4 if pairs is None and adjacent is None else n - 2):
+        found = []
         for pid, ends in enumerate(_PATTERN_ENDS, 1):
-            flat = _first_accepted(_triple_row(terms, ends, i))
-            if flat is not None and (found is None or flat < found[0]):
-                found = (flat, pid)
-        if found is not None:
-            flat, pid = found
-            key = (i, flat // n, flat % n, pid)
-            return key if best is None or key < best else best
-    return best
+            row = _triple_row(terms, ends, i)
+            if pid == 1 and pairs is not None:
+                np.fill_diagonal(row, pairs[i])
+            if pid == 1 and i == 0 and adjacent is not None:
+                row[:, n - 1] = adjacent[n - 1]
+            if pid == 2 and adjacent is not None:
+                row[i + 1, i + 3 :] = adjacent[i, i + 3 :]
+                y = idx[i + 2 : n - 1]
+                row[y, y + 1] = adjacent[y, i]
+            flat = _first_accepted(row)
+            if flat is not None:
+                found.append((*divmod(flat, n), pid))
+        if found:
+            j, kk, pid = min(found)
+            return (i, j) if j == kk else (i, j, kk, pid)
+    return None
 
 
 def _move_from_key(tour: Tour, key: tuple) -> KMove:
@@ -859,18 +860,14 @@ def _blocked_over_cap(n: int, k: int) -> bool:
 
 
 def _check_scan(n: int, k: int, plusplus: bool) -> None:
-    """Refuse a k that names no neighborhood on n vertices, and a scan whose
-    tables would pass the dense-table cap, before any table is built.
+    """Refuse a k that names no neighborhood on n vertices, and a ++ scan
+    whose tables would pass the dense-table cap, before any table is built.
 
     A plain scan whose blocked tables would pass it is anchored instead.
     """
     _require_enumerable(n, k)
-    if plusplus or not _blocked_over_cap(n, k):
+    if plusplus:
         check_dense_size(n, _SCAN_BYTES_PER_ENTRY[k], f"the {k}-move scan")
-    else:
-        # One chunk, or one anchor or walk of at most 2n + 12 candidates.
-        need = _ANCHOR_BYTES_PER_CANDIDATE * max(_ANCHOR_CHUNK, 2 * n + 12)
-        check_dense_bytes(need, n, f"the anchored {k}-move scan")
 
 
 def find_improving(

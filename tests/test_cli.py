@@ -89,7 +89,7 @@ class TestGen:
         rc2, lines2 = run(capsys, argv + ["--out-instance", str(b)])
         assert rc1 == rc2 == 0
         assert lines1 == lines2
-        assert a.read_text() == b.read_text()
+        assert a.read_text(encoding="utf-8") == b.read_text(encoding="utf-8")
         assert lines1[0] == "family=random"
 
     def test_missing_n_is_usage_error(self, capsys):
@@ -296,6 +296,12 @@ class TestDenseCap:
         err = self.refused(capsys, argv)
         assert err.startswith("error: the 3-move scan on 10000 vertices needs about 2.2 GiB")
 
+    def test_certify_family_plain_past_the_cap_names_the_cost_matrix(self, capsys):
+        # A plain scan is never refused: the member's cost matrix is.
+        argv = ["certify", "--family", "three-opt-lb", "--s", "300000", "--k", "3"]
+        err = self.refused(capsys, argv)
+        assert err.startswith("error: the cost matrix on 2400000 vertices needs about 5364.4 GiB")
+
     def test_plain_scans_past_the_cap_run_anchored(self, capsys, tmp_path):
         # The identity tour is 3-optimal: its one cost-1 edge is a tour edge.
         # (CERTIFY_GOLDEN runs a k = 2 certificate past the cap.)
@@ -352,7 +358,7 @@ class TestAnalyze:
             ["analyze", "--instance", inst, "--tour", tour, "--report", str(report)],
         )
         assert rc == 0
-        assert report.read_text().splitlines() == lines
+        assert report.read_text(encoding="utf-8").splitlines() == lines
 
     def test_family_member_golden_output(self, capsys, tmp_path):
         files = [str(tmp_path / f) for f in ("i.txt", "t.txt", "r.txt")]
@@ -420,7 +426,7 @@ class TestSweep:
         assert "violations=0" in lines
         assert sum(1 for line in lines if line.startswith("run ")) == 16
         assert all("checks=ok" in line for line in lines if line.startswith("run "))
-        assert report.read_text().splitlines() == lines
+        assert report.read_text(encoding="utf-8").splitlines() == lines
 
     def test_records_match_one_run_at_a_time(self):
         # The cells descend in lock step; each record must be the one a
@@ -490,7 +496,7 @@ class TestSweep:
             report = tmp_path / f"sweep-{workers}.txt"
             rc, lines = run(capsys, grid + ["--workers", workers, "--report", str(report)])
             assert rc == 0 and "runs=72" in lines
-            reports.append(report.read_text())
+            reports.append(report.read_text(encoding="utf-8"))
         assert reports[0] == reports[1]
 
     def test_defaults_are_the_config_defaults(self, capsys, monkeypatch):

@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import kopt12
 from kopt12 import (
     Instance,
     ParseError,
@@ -107,3 +113,18 @@ def test_binary_file_is_parse_error(tmp_path):
         read_instance(path)
     with pytest.raises(ParseError, match="not a text file"):
         read_tour(path)
+
+
+def test_utf8_file_reads_under_the_c_locale(tmp_path):
+    # Files are UTF-8 whatever the locale's encoding: under LC_ALL=C with
+    # UTF-8 mode off, a non-ASCII comment still reads as text.
+    path = tmp_path / "inst.txt"
+    path.write_text("# caf\u00e9\np12tsp 5\ne 0 1\n", encoding="utf-8")
+    src = str(Path(kopt12.__file__).parents[1])
+    env = dict(os.environ, PYTHONUTF8="0", PYTHONCOERCECLOCALE="0", LC_ALL="C", PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-m", "kopt12", "solve", "--instance", str(path)],
+        env=env, capture_output=True, text=True, encoding="utf-8",
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("final_cost=")

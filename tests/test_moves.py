@@ -641,12 +641,13 @@ def test_triple_codes_name_each_walk_by_its_move():
             assert found == ([] if expected is None else [expected]), (walk, ins)
 
 
-def _only_moves(n, keys):
-    """Identity tour on n vertices whose only improving moves have the given scan keys.
+def _key_instance(n, keys):
+    """Identity tour on n vertices where, for each key, the removed tour edge
+    at position key[1] costs 2; every other tour edge and the keys' added
+    edges cost 1, and no other edge does.
 
-    For each key the removed tour edge at position key[1] costs 2; every
-    other tour edge and the moves' added edges cost 1, and no other edge
-    does.  Returns the instance, the tour, and the move of the least key.
+    Returns the instance, the tour, the keys' moves, and whether those are
+    its only improving moves.
     """
     tour = identity_tour(n)
     only = [_move_from_key(tour, key) for key in keys]
@@ -654,9 +655,19 @@ def _only_moves(n, keys):
     added = frozenset().union(*(m.added for m in only))
     instance = Instance.from_pairs(n, sorted((tour.edge_set - heavy) | added))
     accepted = [m for m in enumerate_kmoves(tour, 3) if move_gain(instance, tour, m) >= 1]
-    assert sorted((m.removed, m.added) for m in accepted) == sorted(
+    alone = sorted((m.removed, m.added) for m in accepted) == sorted(
         (m.removed, m.added) for m in only
     )
+    return instance, tour, only, alone
+
+
+def _only_moves(n, keys):
+    """Identity tour on n vertices whose only improving moves have the given
+    scan keys, built by _key_instance.  Returns the instance, the tour, and
+    the move of the least key.
+    """
+    instance, tour, only, alone = _key_instance(n, keys)
+    assert alone
     # Cost-2 tour edges that share no vertex leave no isolated vertex, so ++
     # accepts the same moves.
     assert count_zero_paths(instance, tour) == 0
@@ -668,6 +679,20 @@ def _assert_first_found(n, *keys):
     instance, tour, move = _only_moves(n, list(keys))
     for plusplus in (False, True):
         assert _assert_scans_match(instance, tour, 3, plusplus) == move
+
+
+@pytest.mark.parametrize("n, count", [(9, 174), (10, 274)])
+def test_every_key_that_can_be_the_only_move_is_found(n, count):
+    # 2-moves, adjacent pairs both ways round, wrap triples and all four
+    # patterns of pairwise apart triples; a key whose instance admits other
+    # moves too is skipped.  find_improving gathers at these n, and
+    # _assert_scans_match calls the dense scan directly.
+    found = 0
+    for key in _gathered_keys(n, 3):
+        if _key_instance(n, [key])[3]:
+            _assert_first_found(n, key)
+            found += 1
+    assert found == count
 
 
 @pytest.mark.parametrize("pid", [1, 2, 3, 4])
