@@ -1,11 +1,12 @@
 """k-move enumeration, gain evaluation and first-improvement local search.
 
 A k-move removes j tour edges (j = 2 or 3) and adds j new edges so the
-result is again a single Hamiltonian cycle.  Moves are enumerated in a fixed
-lexicographic order: removed-edge position tuples ascending, then a fixed
-reconnection-pattern order within each tuple.  Every distinct move appears
-exactly once; reconnections that coincide with the identity or with a
-two-edge move are not re-emitted for three-edge removals.
+result is again a single Hamiltonian cycle.  A move is named by its scan
+key, (i, j) for a pair and (i, j, k, pattern id) for a triple, where i < j
+< k are the positions of its removed tour edges.  The moves are the scan
+keys, in key order, whose reconnection adds no tour edge and repeats no
+earlier key's added edges at the same positions, so every distinct move
+appears exactly once.
 
 Removing three tour edges at positions i < j < k splits the cycle into the
 segments between them.  With segment endpoints labelled
@@ -164,42 +165,42 @@ def neighborhood_size(n: int, k: int) -> int:
     return pairs + 4 * (n * (n - 4) * (n - 5) // 6) + n * (n - 4)
 
 
+def _position_edges(
+    order: tuple[int, ...], pos: tuple[int, ...]
+) -> tuple[frozenset[Edge], list[frozenset[Edge]]]:
+    """The tour edges at positions pos of order, and the added edges of each
+    reconnection over them: the pair's one, or the triple's pattern ids 1..4."""
+    n = len(order)
+    # The ends t[x], t[x+1] of each removed position x, as in the pattern labels.
+    ends = [order[(x + d) % n] for x in pos for d in (0, 1)]
+    removed = frozenset([canonical_edge(ends[e], ends[e + 1]) for e in range(0, len(ends), 2)])
+    patterns = (_PAIR_PATTERN,) if len(pos) == 2 else _PATTERNS
+    return removed, [frozenset([canonical_edge(ends[x], ends[y]) for x, y in p]) for p in patterns]
+
+
+def _keyed_kmoves(tour: Tour, k: int) -> Iterator[tuple[tuple, KMove]]:
+    """Yield (scan key, move) for every scan key in key order whose added
+    edges hold no tour edge and are not an earlier key's at its positions."""
+    n = tour.n
+    _require_enumerable(n, k)
+    tedges = tour.edge_set
+    for i, j in itertools.combinations(range(n), 2):
+        for pos in [(i, j)] + ([(i, j, kk) for kk in range(j + 1, n)] if k == 3 else []):
+            removed, patterns = _position_edges(tour.order, pos)
+            for pid, added in enumerate(patterns, 1):
+                if not added & tedges and added not in patterns[: pid - 1]:
+                    yield (pos if len(pos) == 2 else (*pos, pid)), KMove(removed, added)
+
+
 def enumerate_kmoves(tour: Tour, k: int) -> Iterator[KMove]:
-    """Yield every distinct j-edge move, j <= k, exactly once.
+    """Yield every distinct j-edge move, j <= k, exactly once, in scan key
+    order: each key whose reconnection adds no tour edge and repeats no
+    earlier key's.
 
     Gains are left unfilled; use move_gain against an instance.
     """
-    n = tour.n
-    _require_enumerable(n, k)
-    o = tour.order
-    tedges = tour.edge_set
-
-    def tedge(i: int) -> Edge:
-        return canonical_edge(o[i], o[(i + 1) % n])
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if j - i >= 2 and not (i == 0 and j == n - 1):
-                yield KMove(
-                    frozenset((tedge(i), tedge(j))),
-                    frozenset(
-                        (
-                            canonical_edge(o[i], o[j]),
-                            canonical_edge(o[(i + 1) % n], o[(j + 1) % n]),
-                        )
-                    ),
-                )
-            if k == 3:
-                for kk in range(j + 1, n):
-                    verts = (o[i], o[(i + 1) % n], o[j], o[(j + 1) % n], o[kk], o[(kk + 1) % n])
-                    removed = frozenset((tedge(i), tedge(j), tedge(kk)))
-                    seen: set[frozenset[Edge]] = set()
-                    for pattern in _PATTERNS:
-                        added = frozenset(canonical_edge(verts[x], verts[y]) for x, y in pattern)
-                        if len(added) != 3 or added & tedges or added in seen:
-                            continue
-                        seen.add(added)
-                        yield KMove(removed, added)
+    for _, mv in _keyed_kmoves(tour, k):
+        yield mv
 
 
 def move_gain(instance: Instance, tour: Tour, move: KMove) -> int:
@@ -437,14 +438,8 @@ def _least_key(A: np.ndarray, k: int, plusplus: bool) -> tuple | None:
 
 def _move_from_key(tour: Tour, key: tuple) -> KMove:
     """The move of scan key (i, j) or (i, j, k, pattern id)."""
-    o = tour.order
-    n = len(o)
-    pos, pattern = (key, _PAIR_PATTERN) if len(key) == 2 else (key[:3], _PATTERNS[key[3] - 1])
-    # The ends t[x], t[x+1] of each removed position x, as in the pattern labels.
-    ends = [o[(x + d) % n] for x in pos for d in (0, 1)]
-    removed = frozenset(canonical_edge(ends[e], ends[e + 1]) for e in range(0, len(ends), 2))
-    added = frozenset(canonical_edge(ends[x], ends[y]) for x, y in pattern)
-    return KMove(removed, added)
+    removed, patterns = _position_edges(tour.order, key[:3])
+    return KMove(removed, patterns[key[3] - 1 if len(key) == 4 else 0])
 
 
 # Per triple pattern id, the inner segments in their new order, each as
@@ -487,10 +482,8 @@ def _reconnect(order: np.ndarray, key: tuple) -> np.ndarray:
 # cached move costs A[u, v] on any tour, A being the position-cost matrix.
 # One take gives the costs of every candidate's three removed and three
 # added edges (a 2-move pads both third slots with A[0, 0] = 0), and the
-# plain scan returns the key of the first candidate of gain >= 1, from a
-# tuple of keys that the same loop over the generator fills: (i, j) for a
-# pair, and for a triple (i, j, k) with the first pattern id whose added
-# edges are the move's, as the blocked scan numbers it.  Under ++ a
+# plain scan returns the key of the first candidate of gain >= 1, from the
+# tuple of the scan keys the generator yields with its moves.  Under ++ a
 # zero-gain candidate ahead of it is accepted when dz < 0.  dz is computed
 # for those candidates alone (for every candidate it made ++ slower than
 # the blocked scan from n = 16 on), from the at most six endpoints of the
@@ -506,7 +499,7 @@ def _reconnect(order: np.ndarray, key: tuple) -> np.ndarray:
 
 # Most candidates of a gathered scan: k = 3 up to n = 13, k = 2 up to n = 46.
 # At the cap a gathered scan costs a fifth (k = 3, plain) to about all
-# (k = 2, ++) of a blocked one, but its tables take about 30 ms to build,
+# (k = 2, ++) of a blocked one, but its tables take about 20 ms to build,
 # once per process; past the cap the build outgrows what short runs save
 # (timings in CHANGES.md).
 _GATHER_MAX = 1024
@@ -529,7 +522,8 @@ def _gather_tables(n: int, k: int) -> _Gather:
     """The read-only gather tables of enumerate_kmoves(identity_tour(n), k)."""
     stride = n + 1
     edges, dz, keys = [], [], []
-    for mv in enumerate_kmoves(identity_tour(n), k):
+    for key, mv in _keyed_kmoves(identity_tour(n), k):
+        keys.append(key)
         removed = [u * stride + v for u, v in sorted(mv.removed)]
         added = [u * stride + v for u, v in sorted(mv.added)]
         pad = [0] * (3 - len(removed))
@@ -542,17 +536,6 @@ def _gather_tables(n: int, k: int) -> _Gather:
             after += sorted((tour - mv.removed) | {e for e in mv.added if v in e})
         pad = [(0, 0)] * 2 * (2 * k - len(ends))
         dz.append([u * stride + w for u, w in before + pad + after + pad])
-        # Edge x joins x and x + 1, so the edge (0, n - 1) is position n - 1.
-        pos = tuple(sorted(u if v == u + 1 else v for u, v in mv.removed))
-        if len(pos) == 2:
-            keys.append(pos)
-            continue
-        # A triple's moves come in pattern id order: search past the last one's.
-        pid = keys[-1][3] if keys and keys[-1][:3] == pos else 0
-        labels = [(x + d) % n for x in pos for d in (0, 1)]
-        while {canonical_edge(labels[x], labels[y]) for x, y in _PATTERNS[pid]} != mv.added:
-            pid += 1
-        keys.append((*pos, pid + 1))
     tables = []
     for rows in (edges, dz):
         table = np.array(rows).T

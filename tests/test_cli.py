@@ -511,9 +511,21 @@ class TestSweep:
         capsys.readouterr()
         assert configs == [SweepConfig()]
 
-    def test_workers_below_one_rejected(self, capsys):
-        assert main(["sweep", "--n-min", "6", "--n-max", "6", "--workers", "0"]) == 2
-        assert "at least one worker" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            (["--n-min", "6", "--n-max", "6", "--workers", "0"], "need at least one worker"),
+            (["--n-min", "4"], "need 5 <= n_min <= n_max"),
+            (["--n-min", "7", "--n-max", "6"], "need 5 <= n_min <= n_max"),
+            (["--per-cell", "0"], "need at least one instance per cell"),
+        ],
+        ids=["workers-0", "n-min-4", "n-max-below-n-min", "per-cell-0"],
+    )
+    def test_bad_sweep_options_rejected(self, capsys, options, message):
+        assert main(["sweep", *options]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
 
 
 class TestUsage:
@@ -581,6 +593,9 @@ class TestUsage:
             ["certify", "--family", "two-opt-lb", "--n", "8", "--instance", "{inst}"],
             ["certify", "--instance", "{inst}", "--tour", "{tour}", "--n", "6"],
             ["solve", "--instance", "{inst}", "--tour", "{tour}", "--seed", "3"],
+            # An option the command needs and lacks.
+            ["gen", "--family", "random", "--n", "8", "--seed", "1"],
+            ["certify", "--instance", "{inst}"],
         ],
         ids=" ".join,
     )

@@ -56,6 +56,7 @@ from kopt12.moves import (
     _anchored_key,
     _gather_tables,
     _gathered_key,
+    _keyed_kmoves,
     _least_key,
     _move_from_key,
     _position_costs,
@@ -313,9 +314,10 @@ def _gathered_sizes(k):
     )
 
 
-def _gathered_keys(n, k):
-    """The scan key of every column of the gather tables, in column order."""
-    return list(_gather_tables(n, k).keys)
+def _generated_keys(n, k):
+    """The scan key of every move the generator yields on the identity tour
+    on n vertices, in its order."""
+    return [key for key, _ in _keyed_kmoves(identity_tour(n), k)]
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -323,10 +325,12 @@ def test_gather_tables_decode_to_enumeration(k):
     for n in _gathered_sizes(k):
         tour = identity_tour(n)
         tables = _gather_tables(n, k)
-        keys = _gathered_keys(n, k)
+        keys = list(tables.keys)
         expected = list(enumerate_kmoves(tour, k))
         assert tables.edges.shape[1] == tables.dz.shape[1] == len(expected) == len(keys)
         assert len(keys) == neighborhood_size(n, k)
+        # The generator yields its keys in key order, the order the scans search.
+        assert keys == _generated_keys(n, k) == sorted(set(keys))
         assert not (tables.edges.flags.writeable or tables.dz.flags.writeable)
         for column, mv in enumerate(expected):
             # Index 0 pads a 2-move's third edges: a cached edge (u, v) has u < v.
@@ -366,12 +370,12 @@ def _shuffled_tour(n, seed):
 def test_reconnect_matches_apply_move(k):
     # Every key of every move, on a canonical and on a shuffled order.
     for n in range(5, 13):
-        keys = _gathered_keys(n, k)
-        assert len(keys) == neighborhood_size(n, k)
         for tour in (identity_tour(n), _shuffled_tour(n, n * 10 + k)):
             order = np.array(tour.order, dtype=np.intp)
-            for key in keys:
-                expected = apply_move(tour, _move_from_key(tour, key)).order
+            keyed = list(_keyed_kmoves(tour, k))
+            assert len(keyed) == neighborhood_size(n, k)
+            for key, mv in keyed:
+                expected = apply_move(tour, mv).order
                 assert tuple(_reconnect(order, key).tolist()) == expected, (n, key)
 
 
@@ -557,8 +561,7 @@ def test_anchored_scan_matches_gather_keys(k):
     # accepted, and the least accepted key is the gather tables' first.
     for n in (5, 6, 7, 9, 13) if k == 3 else (4, 5, 8, 13):
         tour = identity_tour(n)
-        for key in _gathered_keys(n, k):
-            mv = _move_from_key(tour, key)
+        for key, mv in _keyed_kmoves(tour, k):
             kept = tour.edge_set - mv.removed
             for light in [mv.added, *({e} for e in sorted(mv.added))]:
                 instance = Instance(n, frozenset(kept | light))
@@ -626,10 +629,7 @@ def test_triple_codes_name_each_walk_by_its_move():
     # (a subtour, a tour edge added, two adjacencies) to none.
     n = 13
     tour = identity_tour(n)
-    keys = {}
-    for key in _gathered_keys(n, 3):
-        mv = _move_from_key(tour, key)
-        keys[mv.removed, mv.added] = key
+    keys = {(mv.removed, mv.added): key for key, mv in _keyed_kmoves(tour, 3)}
     for walk in itertools.permutations(range(n), 3):
         removed = frozenset(canonical_edge(x, (x + 1) % n) for x in walk)
         for ins in itertools.product((0, 1), repeat=3):
@@ -688,7 +688,7 @@ def test_every_key_that_can_be_the_only_move_is_found(n, count):
     # moves too is skipped.  find_improving gathers at these n, and
     # _assert_scans_match calls the dense scan directly.
     found = 0
-    for key in _gathered_keys(n, 3):
+    for key in _generated_keys(n, 3):
         if _key_instance(n, [key])[3]:
             _assert_first_found(n, key)
             found += 1
@@ -1008,6 +1008,9 @@ def test_pp_acceptance_cases(merge_instance):
     worsening = KMove(frozenset({(0, 1), (2, 3)}), frozenset({(0, 2), (1, 3)}))
     assert move_gain(merge_instance, tour, worsening) == -1
     assert not is_improving_pp(merge_instance, tour, worsening)
+    worse, undo = apply_move(tour, worsening), KMove(worsening.added, worsening.removed)
+    assert move_gain(merge_instance, worse, undo) == 1
+    assert is_improving_pp(merge_instance, worse, undo)
 
 
 def test_local_search_reaches_certified_optimum():
