@@ -37,17 +37,22 @@ usually builds only the first rows, and a certificate scan, which visits
 every row, holds its n^2 tables and one row at a time.  Each row is
 searched by one argmax.
 
-A neighborhood of at most _GATHER_MAX candidates (k = 3 up to n = 13, k = 2
-up to n = 46) skips the tables and is scanned by one gather.  Index arrays
-cached per (n, k) hold the edges of every move the generator yields on the
-identity tour, in its order, so one take from the tour's position-cost
-matrix gives every candidate's gain, and the first with gain >= 1 is the
-plain answer.  Under ++ dz is computed only for the zero-gain candidates
-ahead of it, from each endpoint's two edges before and after the move, and
-the first of those with dz < 0, if any, is taken instead.  The same cache
-holds each move's scan key, so every scan returns a key.
-The gather runs on a stack of position-cost matrices, one per tour, with
-one take for the whole stack; a single scan is a stack of one.
+Every scan starts with a gathered scan of the first _GATHER_MAX keys in
+key order, which is the whole neighborhood for k = 3 up to n = 13 and k = 2
+up to n = 46.  Index arrays cached per (n, k) hold the edges of the first
+_GATHER_MAX moves the generator yields on the identity tour, in its order,
+as indices into the position pairs they join, so reading those pairs' costs
+through the tour order from the instance's cost matrix gives every
+candidate's gain, and the first with gain >= 1 is the plain answer.  Under
+++ dz is computed only for the zero-gain candidates ahead of it, from each
+endpoint's two edges before and after the move, and the first of those
+with dz < 0, if any, is taken instead.  The same cache holds each move's
+scan key, so every scan returns a key.  Keys order moves as the generator
+does, so when the prefix holds an accepted key it holds the least one; only
+when it holds none does a larger neighborhood go on to the blocked scan, or
+the anchored one below.
+The gather scores a stack of tours at once, one column each; a single scan
+is a stack of one.
 
 Under the plain predicate a larger neighborhood may be scanned from the
 tour's l cost-2 edges instead (the anchored scan).  An accepted move gains
@@ -258,9 +263,9 @@ def is_improving_pp(instance: Instance, tour: Tour, move: KMove) -> bool:
 
 # ---------------------------------------------------------------------------
 # Blocked neighborhood scan, for neighborhoods of more than _GATHER_MAX
-# candidates under ++, and under the plain predicate when it is estimated
-# cheaper than the anchored scan.  It is the oracle the anchored scan is
-# tested against.
+# candidates whose gathered prefix holds no accepted key: under ++, and under
+# the plain predicate when it is estimated cheaper than the anchored scan.  It
+# is the oracle the anchored scan is tested against.
 #
 # Candidates are keyed by removed-edge positions: (i, j) for a pair and
 # (i, j, k, pattern id) for a triple, compared as tuples.  The least
@@ -472,16 +477,20 @@ def _reconnect(order: np.ndarray, key: tuple) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Gathered scan of small neighborhoods.
+# Gathered scan of the first _GATHER_MAX keys.
 #
 # The blocked scan costs about a hundred small NumPy calls whatever n is,
-# which dominates at small n.  A neighborhood of at most _GATHER_MAX
-# candidates is scanned instead through index arrays cached per (n, k), one
-# column per move of enumerate_kmoves(identity_tour(n), k), in that order.
-# On the identity tour a vertex is its position, so the edge (u, v) of a
-# cached move costs A[u, v] on any tour, A being the position-cost matrix.
-# One take gives the costs of every candidate's three removed and three
-# added edges (a 2-move pads both third slots with A[0, 0] = 0), and the
+# which dominates at small n, and its n^2 tables are set up before it looks
+# at a single key.  A descent step usually accepts a key of small leading
+# position, so every scan first gathers the first _GATHER_MAX candidates
+# through index arrays cached per (n, k), one column per move of
+# enumerate_kmoves(identity_tour(n), k), in that order.  On the identity
+# tour a vertex is its position, so the edge (x, y) of a cached move joins
+# positions x and y of any tour, and costs cost_matrix[t[x], t[y]].  The
+# cache lists the position pairs, its cells, that the candidates' edges
+# join; one read of their costs through the tour order, and one take from
+# those, give every candidate's three removed and three added edges (a
+# 2-move pads both third slots with the pair (0, 0), of cost 0), and the
 # plain scan returns the key of the first candidate of gain >= 1, from the
 # tuple of the scan keys the generator yields with its moves.  Under ++ a
 # zero-gain candidate ahead of it is accepted when dz < 0.  dz is computed
@@ -489,27 +498,36 @@ def _reconnect(order: np.ndarray, key: tuple) -> np.ndarray:
 # the blocked scan from n = 16 on), from the at most six endpoints of the
 # removed edges: each is isolated before the move when both its tour edges
 # cost 2, and after it when both its edges on the moved tour do.  Endpoint
-# slots past a move's own are padded with A[0, 0], never isolated.
+# slots past a move's own are padded with the pair (0, 0), never isolated.
+# The prefix never builds the (n+1)^2 position costs, so at large n it costs
+# a few reads of the tables' cells, not O(n^2).
 #
-# The scan takes a stack of B position-cost matrices, read as one array of
-# (n+1)^2 rows with one column per matrix, so the same take and arithmetic
-# score every matrix's candidates at once: B = 1 for find_improving and a
-# single descent, and every still-descending row of a lock-step _descend.
+# The scan takes the cells' costs on B tours, one column per tour, so the
+# same take and arithmetic score every tour's candidates: B = 1 for
+# find_improving and every scan past the cap, whose costs _prefix_key reads
+# from the instance's cost matrix, and below it every still-descending row
+# of a lock-step _descend, whose costs _stacked_costs reads from a stack of
+# cost matrices.
 # ---------------------------------------------------------------------------
 
-# Most candidates of a gathered scan: k = 3 up to n = 13, k = 2 up to n = 46.
-# At the cap a gathered scan costs a fifth (k = 3, plain) to about all
-# (k = 2, ++) of a blocked one, but its tables take about 20 ms to build,
-# once per process; past the cap the build outgrows what short runs save
-# (timings in CHANGES.md).
+# Candidates of the gathered scan every scan starts with: the whole
+# neighborhood for k = 3 up to n = 13 and k = 2 up to n = 46.  At the cap a
+# gathered scan costs a fifth (k = 3, plain) to about all (k = 2, ++) of a
+# blocked one.  Past it the prefix costs 35 to 55 us a scan (n = 72 to
+# 2,000), where a blocked scan along the same descents costs 320 to 440 us,
+# and it holds the key of 52 to 65% of plain descent scans at n = 100 to 140
+# and 72 to 83% of ++ ones at n = 40 to 72.  Its tables take 35 to 50 ms to
+# build, once per (n, k) and process (timings in CHANGES.md).
 _GATHER_MAX = 1024
 
 
 @dataclass(frozen=True)
 class _Gather:
-    """Flat indices into the position-cost matrix, one column per candidate,
-    and the candidates' scan keys."""
+    """The first candidates of a neighborhood in key order: the position
+    pairs whose costs they read, their edges as indices into those pairs,
+    and their scan keys."""
 
+    cells: np.ndarray  # (2, c): position pairs (x, y), x < y or the pad (0, 0)
     edges: np.ndarray  # (6, m): removed edges in rows 0-2, added edges in rows 3-5
     # (8k, m): rows 2s, 2s+1 are endpoint slot s's two tour edges, and rows
     # 4k + 2s, 4k + 2s + 1 its two edges after the move.
@@ -519,44 +537,49 @@ class _Gather:
 
 @functools.cache
 def _gather_tables(n: int, k: int) -> _Gather:
-    """The read-only gather tables of enumerate_kmoves(identity_tour(n), k)."""
-    stride = n + 1
-    edges, dz, keys = [], [], []
-    for key, mv in _keyed_kmoves(identity_tour(n), k):
+    """The read-only gather tables of the first _GATHER_MAX moves of
+    enumerate_kmoves(identity_tour(n), k)."""
+    # Edges by code x * n + y until the cells are known; code 0, the pad
+    # (0, 0), fills the slots past a 2-move's edges and a move's endpoints.
+    edges = np.zeros((_GATHER_MAX, 6), dtype=np.int64)
+    dz = np.zeros((_GATHER_MAX, 8 * k), dtype=np.int64)
+    keys = []
+    for key, mv in itertools.islice(_keyed_kmoves(identity_tour(n), k), _GATHER_MAX):
+        row = len(keys)
         keys.append(key)
-        removed = [u * stride + v for u, v in sorted(mv.removed)]
-        added = [u * stride + v for u, v in sorted(mv.added)]
-        pad = [0] * (3 - len(removed))
-        edges.append(removed + pad + added + pad)
-        ends = sorted({v for e in mv.removed for v in e})
-        before, after = [], []
-        for v in ends:
+        size = len(mv.removed)
+        edges[row, :size] = sorted(u * n + v for u, v in mv.removed)
+        edges[row, 3 : 3 + size] = sorted(u * n + v for u, v in mv.added)
+        for slot, v in enumerate(sorted({v for e in mv.removed for v in e})):
             tour = {canonical_edge((v - 1) % n, v), canonical_edge(v, (v + 1) % n)}
-            before += sorted(tour)
-            after += sorted((tour - mv.removed) | {e for e in mv.added if v in e})
-        pad = [(0, 0)] * 2 * (2 * k - len(ends))
-        dz.append([u * stride + w for u, w in before + pad + after + pad])
-    tables = []
-    for rows in (edges, dz):
-        table = np.array(rows).T
-        # The least unsigned type that holds every entry: uint8 for k = 3.
-        table = np.ascontiguousarray(table, dtype=np.min_scalar_type(table.max()))
+            after = (tour - mv.removed) | {e for e in mv.added if v in e}
+            for half, incident in ((0, tour), (4 * k, after)):
+                at = half + 2 * slot
+                dz[row, at : at + 2] = sorted(u * n + w for u, w in incident)
+    edges, dz = edges[: len(keys)].T, dz[: len(keys)].T
+    codes = np.sort(np.concatenate((edges.ravel(), dz.ravel())))
+    cells = codes[np.diff(codes, prepend=-1) > 0]
+    # The cells index the tour order on every scan, where a narrower type
+    # would be converted each time; they are at most a few thousand.
+    tables = [np.stack(np.divmod(cells, n)).astype(np.intp)]
+    for table in (np.searchsorted(cells, edges), np.searchsorted(cells, dz)):
+        # The least unsigned type that holds every entry: uint8 for k = 3 up to the cap.
+        tables.append(np.ascontiguousarray(table, dtype=np.min_scalar_type(table.max())))
+    for table in tables:
         table.flags.writeable = False
-        tables.append(table)
     return _Gather(*tables, tuple(keys))
 
 
-def _gathered_key(stack: np.ndarray, k: int, plusplus: bool) -> list[tuple | None]:
-    """First accepted scan key of each position-cost matrix of a stack of
-    shape (B, n + 1, n + 1) by the gather tables, or None for a matrix
-    with no accepted move."""
-    rows, side, _ = stack.shape
-    tables = _gather_tables(side - 1, k)
-    # Entry e of every matrix lies in row e: one take of whole rows gathers
-    # every matrix's candidates at once (_descend lays its stacks out so
-    # that this is a view).  Arrays below are indexed (candidate, matrix).
-    costs = stack.reshape(rows, -1).T
-    r0, r1, r2, a0, a1, a2 = costs.take(tables.edges, axis=0)
+def _gathered_key(tables: _Gather, costs: np.ndarray, plusplus: bool) -> list[tuple | None]:
+    """First accepted scan key among the candidates of the gather tables on
+    each of B tours, or None for a tour on which none of them is accepted.
+
+    costs, of shape (c, B), holds the cost of each of the tables' c cells
+    on each tour, read from its cost matrix (uint8) through its order.
+    """
+    # Arrays below are indexed (cell or candidate, tour).
+    cells = costs.view(np.int8)
+    r0, r1, r2, a0, a1, a2 = cells.take(tables.edges, axis=0)
     gain = r0 + r1
     gain += r2
     gain -= a0
@@ -564,25 +587,39 @@ def _gathered_key(stack: np.ndarray, k: int, plusplus: bool) -> list[tuple | Non
     gain -= a2
     m = len(gain)
     ok = gain >= 1
-    # Each matrix's first accepted candidate, or m.
+    # Each tour's first accepted candidate, or m.
     first = [f if ok.item(f, r) else m for r, f in enumerate(ok.argmax(axis=0).tolist())]
     if plusplus:
-        # The zero-gain candidates ahead of each matrix's first.
+        # The zero-gain candidates ahead of each tour's first.
         top = max(first)
         zero = gain[:top] == 0
         if min(first) < top:
             zero &= np.arange(top)[:, None] < first
         col, row = zero.nonzero()
         if col.size:
-            heavy = costs.take(_entries(tables.dz.take(col, axis=1), row, rows)) == 2
+            heavy = cells.take(_entries(tables.dz.take(col, axis=1), row, cells.shape[1])) == 2
             isolated = heavy[0::2] & heavy[1::2]
             slots = len(isolated) // 2
             # dz < 0: fewer of the endpoints are isolated after the move than before.
             merging = (isolated[slots:].sum(axis=0) < isolated[:slots].sum(axis=0)).nonzero()[0]
-            # By column, so each matrix's first merging candidate comes first.
+            # By column, so each tour's first merging candidate comes first.
             for c, r in zip(col[merging].tolist(), row[merging].tolist()):
                 first[r] = min(first[r], c)
     return [tables.keys[f] if f < m else None for f in first]
+
+
+def _stacked_costs(
+    costs: np.ndarray, orders: np.ndarray, rows: np.ndarray, tables: _Gather
+) -> np.ndarray:
+    """The costs of the tables' cells on tour orders[r] by cost matrix
+    costs[r], one column per r in rows: cell (x, y) of row r is entry
+    (r, orders[r, x], orders[r, y]) of the stack."""
+    n = orders.shape[1]
+    x, y = orders[rows].T.take(tables.cells, axis=0)
+    x += rows * n
+    x *= n
+    x += y
+    return costs.take(x)
 
 
 def _entries(index: np.ndarray, row: np.ndarray, rows: int) -> np.ndarray:
@@ -818,23 +855,40 @@ def _anchored_key(instance: Instance, order: np.ndarray, heavy: np.ndarray, k: i
 
 
 def _scan_key(instance: Instance, order: np.ndarray, k: int, plusplus: bool) -> tuple | None:
-    """Least accepted scan key of the tour order (an int array), or None, by
-    the gathered scan for small neighborhoods and otherwise by the blocked
-    scan, or under the plain predicate (to which ++ reduces on a tour with
-    no isolated vertex) by the anchored one when it is estimated cheaper or
-    the blocked scan would pass the dense-table cap."""
+    """Least accepted scan key of the tour order (an int array), or None.
+
+    Past the gather cap ++ first reduces to the plain predicate on a tour
+    with no isolated vertex.  The gathered scan of the first _GATHER_MAX
+    keys, the whole neighborhood up to the cap, finds the key when they hold
+    it.  Past them the blocked scan runs, or under the plain predicate the
+    anchored one when it is estimated cheaper or the blocked scan would pass
+    the dense-table cap."""
     n = instance.n
-    if neighborhood_size(n, k) <= _GATHER_MAX:
-        return _gathered_key(_position_costs(instance, order)[None], k, plusplus)[0]
-    heavy = _order_heavy(instance, order)
-    # With no isolated vertex no move lowers their count: ++ accepts what plain does.
-    plusplus = plusplus and bool((heavy[:-1] & heavy[1:]).any() or heavy[-1] & heavy[0])
+    whole = neighborhood_size(n, k) <= _GATHER_MAX
+    if not whole:
+        heavy = _order_heavy(instance, order)
+        # With no isolated vertex no move lowers their count: ++ accepts what plain does.
+        plusplus = plusplus and bool((heavy[:-1] & heavy[1:]).any() or heavy[-1] & heavy[0])
+    key = _prefix_key(instance, order, k, plusplus)
+    if key is not None or whole:
+        return key
     if not plusplus:
         if _blocked_over_cap(n, k) or (
             _ANCHOR_COST[k] * _anchored_candidates(instance, order, heavy, k) < n * n
         ):
             return _anchored_key(instance, order, heavy, k)
     return _least_key(_position_costs(instance, order), k, plusplus)
+
+
+def _prefix_key(instance: Instance, order: np.ndarray, k: int, plusplus: bool) -> tuple | None:
+    """First accepted scan key among the first _GATHER_MAX of the tour order
+    (an int array), or None when none of them is accepted."""
+    n = instance.n
+    tables = _gather_tables(n, k)
+    x, y = order.take(tables.cells)
+    x *= n
+    x += y
+    return _gathered_key(tables, instance.cost_matrix.take(x)[:, None], plusplus)[0]
 
 
 def _blocked_over_cap(n: int, k: int) -> bool:
@@ -901,7 +955,7 @@ def _descend(
     Returns the final orders, one row each, and each row's iterations: its
     scans, the last of which found no move.  Each step scans every row
     still descending: neighborhoods of at most _GATHER_MAX candidates by one
-    gathered scan of all their position costs, larger ones a row at a time.
+    gathered scan of all the rows, larger ones a row at a time by _scan_key.
     Each row's move is applied by _reconnect.
     """
     orders = np.array(orders, dtype=np.intp)
@@ -909,8 +963,8 @@ def _descend(
     iterations = [0] * len(orders)
     active = np.arange(len(orders))
     if neighborhood_size(n, k) <= _GATHER_MAX:
-        costs = np.stack([instance.cost_matrix for instance in instances]).astype(np.int8)
-        wrap = np.arange(n + 1) % n
+        costs = np.stack([instance.cost_matrix for instance in instances])
+        tables = _gather_tables(n, k)
     else:
         costs = None
     # Every accepted move lowers (n+1) * cost + isolated vertices by at least
@@ -920,10 +974,7 @@ def _descend(
         if costs is None:
             keys = [_scan_key(instances[r], orders[r], k, plusplus) for r in active]
         else:
-            # Position costs indexed (x, y, row), handed over as (row, x, y).
-            o = orders[active[:, None], wrap].T
-            flat = (active * n + o[:, None]) * n + o
-            keys = _gathered_key(costs.take(flat).transpose(2, 0, 1), k, plusplus)
+            keys = _gathered_key(tables, _stacked_costs(costs, orders, active, tables), plusplus)
         moving = []
         for r, key in zip(active.tolist(), keys):
             if key is None:

@@ -8,6 +8,7 @@ produce identical (removed, added) sets.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import random
@@ -60,6 +61,7 @@ from kopt12.moves import (
     _least_key,
     _move_from_key,
     _position_costs,
+    _prefix_key,
     _reconnect,
     _scan_key,
     _score_terms,
@@ -237,10 +239,17 @@ class TestApplyMoveErrors:
             move_gain(hexa, identity_tour(6), move)
 
 
-# Most candidates of a scan the tests also run through the gather tables:
-# the gather is exact at any size, but much larger tables take seconds to
-# build.  This covers k = 3 up to n = 20 and k = 2 up to n = 92.
-_GATHER_TEST_MAX = 1 << 12
+def _gathered(instance, order, k, plusplus):
+    """The gathered scan's key for a tour order (any sequence): the first
+    accepted key among the first _GATHER_MAX, or None."""
+    return _prefix_key(instance, np.array(order, dtype=np.intp), k, plusplus)
+
+
+@functools.cache
+def _last_gathered_key(n, k):
+    """The generator's key at rank _GATHER_MAX - 1, or its last key."""
+    *_, (key, _) = itertools.islice(_keyed_kmoves(identity_tour(n), k), moves._GATHER_MAX)
+    return key
 
 
 def _anchored(instance, order, k):
@@ -254,17 +263,17 @@ def _assert_scans_match(instance, tour, k, plusplus):
     predicate, the anchored scan against the oracle.
 
     find_improving takes one of the paths by neighborhood size and tour, so
-    each is called directly; each must return the dense scan's key.
-    Returns the oracle's move.
+    each is called directly; each must return the dense scan's key, except
+    that the gather, which holds the first _GATHER_MAX keys, returns None
+    when the key lies past them.  Returns the oracle's move.
     """
     expected = find_improving_by_enumeration(instance, tour, k, plusplus)
     assert find_improving(instance, tour, k, plusplus) == expected
     bare = None if expected is None else replace(expected, gain=None)
-    A = _position_costs(instance, tour.order)
-    key = _least_key(A, k, plusplus)
+    key = _least_key(_position_costs(instance, tour.order), k, plusplus)
     assert (None if key is None else _move_from_key(tour, key)) == bare
-    if neighborhood_size(instance.n, k) <= _GATHER_TEST_MAX:
-        assert _gathered_key(A[None], k, plusplus) == [key]
+    in_prefix = key is not None and key <= _last_gathered_key(instance.n, k)
+    assert _gathered(instance, tour.order, k, plusplus) == (key if in_prefix else None)
     if not plusplus:
         assert _anchored(instance, tour.order, k) == key
     return expected
@@ -322,42 +331,55 @@ def _generated_keys(n, k):
 
 @pytest.mark.parametrize("k", [2, 3])
 def test_gather_tables_decode_to_enumeration(k):
-    for n in _gathered_sizes(k):
+    # Every gathered size holds its whole neighborhood; past the cap the
+    # tables hold the first _GATHER_MAX moves.
+    last = _gathered_sizes(k)[-1]
+    for n in _gathered_sizes(k) + [last + 1, last + 7, 3 * last]:
         tour = identity_tour(n)
         tables = _gather_tables(n, k)
         keys = list(tables.keys)
-        expected = list(enumerate_kmoves(tour, k))
+        generated = list(itertools.islice(_keyed_kmoves(tour, k), moves._GATHER_MAX))
+        expected = [mv for _, mv in generated]
         assert tables.edges.shape[1] == tables.dz.shape[1] == len(expected) == len(keys)
-        assert len(keys) == neighborhood_size(n, k)
+        assert len(keys) == min(neighborhood_size(n, k), moves._GATHER_MAX)
         # The generator yields its keys in key order, the order the scans search.
-        assert keys == _generated_keys(n, k) == sorted(set(keys))
-        assert not (tables.edges.flags.writeable or tables.dz.flags.writeable)
+        assert keys == [key for key, _ in generated] == sorted(set(keys))
+        assert not any(a.flags.writeable for a in (tables.cells, tables.edges, tables.dz))
+        cells = list(zip(*tables.cells.tolist()))
+        assert len(set(cells)) == len(cells)
         for column, mv in enumerate(expected):
-            # Index 0 pads a 2-move's third edges: a cached edge (u, v) has u < v.
+            # The pad (0, 0) fills a 2-move's third edges: a cached edge (u, v) has u < v.
             removed, added = (
-                {divmod(int(f), n + 1) for f in half if f}
+                {cells[c] for c in half} - {(0, 0)}
                 for half in (tables.edges[:3, column], tables.edges[3:, column])
             )
             assert (removed, added) == (mv.removed, mv.added)
             assert _move_from_key(tour, keys[column]) == mv
             # Each removed-edge end with its two edges on the tour, then on
-            # the moved tour; slots past the ends hold index 0, A[0, 0].
+            # the moved tour; slots past the ends hold the pad, of cost 0.
             ends = sorted({v for e in mv.removed for v in e})
             flat = tables.dz[:, column].reshape(2, 2 * k, 2)
             for edge_set, half in zip((tour.edge_set, apply_move(tour, mv).edge_set), flat):
-                assert not half[len(ends) :].any()
+                assert {cells[c] for c in half[len(ends) :].ravel()} <= {(0, 0)}
                 for v, pair in zip(ends, half):
-                    assert {divmod(int(f), n + 1) for f in pair} == {e for e in edge_set if v in e}
+                    assert {cells[c] for c in pair} == {e for e in edge_set if v in e}
 
 
 def test_gather_tables_fit_their_budget():
     # 6 edge and 8k endpoint-edge indices per candidate, each table in the
-    # least unsigned type that holds it: 17,674 candidates up to the cap take
-    # 0.70 MiB.
-    tables = [_gather_tables(n, k) for k in (2, 3) for n in _gathered_sizes(k)]
-    arrays = [a for t in tables for a in (t.edges, t.dz)]
-    assert all(a.flags.c_contiguous and a.dtype.kind == "u" for a in arrays)
-    assert sum(a.nbytes for a in arrays) <= 2**20
+    # least unsigned type that holds it, and 2 intp positions per cell:
+    # 17,674 candidates up to the cap take 0.92 MiB, and a prefix of 1,024
+    # past it at most 92.2 KiB (k = 3 at n = 10,000).
+    def arrays(tables):
+        assert tables.cells.dtype == np.intp
+        assert tables.edges.dtype.kind == tables.dz.dtype.kind == "u"
+        return [tables.cells, tables.edges, tables.dz]
+
+    gathered = [a for k in (2, 3) for n in _gathered_sizes(k) for a in arrays(_gather_tables(n, k))]
+    assert all(a.flags.c_contiguous for a in gathered)
+    assert sum(a.nbytes for a in gathered) <= 2**20
+    for k, n in [(2, 47), (2, 2000), (2, 12000), (3, 14), (3, 288), (3, 10000)]:
+        assert sum(a.nbytes for a in arrays(_gather_tables(n, k))) <= 96 * 2**10
 
 
 def _shuffled_tour(n, seed):
@@ -397,9 +419,14 @@ def test_local_search_follows_reference_chain(monkeypatch, k, n, plusplus):
     tour, stats = local_search(instance, start=start, k=k, plusplus=plusplus)
     chain = []
     mv = find_improving(instance, start, k, plusplus)
-    while mv is not None:
+    # local_search's own bound on its steps: a scan that keeps returning a
+    # move fails here instead of looping.
+    for _ in range(n**2 + 2 * n + 1):
+        if mv is None:
+            break
         chain.append(apply_move(chain[-1] if chain else start, mv))
         mv = find_improving(instance, chain[-1], k, plusplus)
+    assert mv is None, "find_improving still finds moves past local_search's bound"
     assert len(chain) >= 2
     assert visited == chain
     assert tour == chain[-1]
@@ -424,13 +451,21 @@ def test_stacked_gather_matches_one_row_and_enumeration(k):
             rows.append((instance, _shuffled_tour(n, seed)))
             for plusplus in (False, True):
                 rows.append((instance, local_search(instance, k=k, plusplus=plusplus, seed=seed)[0]))
+        tables = _gather_tables(n, k)
+        costs = np.stack([instance.cost_matrix for instance, _ in rows])
+        orders = np.array([tour.order for _, tour in rows])
+
+        def stacked(active, plusplus):
+            stack = moves._stacked_costs(costs, orders, active, tables)
+            return _gathered_key(tables, stack, plusplus)
+
         for plusplus in (False, True):
-            stack = np.stack([_position_costs(instance, tour.order) for instance, tour in rows])
-            keys = _gathered_key(stack, k, plusplus)
-            assert len(keys) == len(rows)
+            keys = stacked(np.arange(len(rows)), plusplus)
+            assert keys == [_gathered(instance, tour.order, k, plusplus) for instance, tour in rows]
+            # Some of the rows, in another order, as a lock-step descent leaves them.
+            some = np.arange(len(rows))[::-2]
+            assert stacked(some, plusplus) == [keys[r] for r in some.tolist()]
             for (instance, tour), key in zip(rows, keys):
-                A = _position_costs(instance, tour.order)
-                assert _gathered_key(A[None], k, plusplus) == [key]
                 expected = find_improving_by_enumeration(instance, tour, k, plusplus)
                 assert (None if key is None else _move_from_key(tour, key)) == (
                     None if expected is None else replace(expected, gain=None)
@@ -511,8 +546,10 @@ def _blocked_descent(instance, order, k, plusplus=False):
 def test_anchored_scan_matches_blocked_along_plain_descents(k):
     # Shuffled starts have cost-2 edges at nearly every position, so the
     # selection rule takes the blocked scan first and the anchored one by the
-    # end; both scans are compared at every step either way.
-    sides = set()
+    # end; both scans, and _scan_key, are compared at every step either way.
+    # Past the gather cap _scan_key's gathered prefix both holds the key and
+    # misses it.
+    sides, prefix = set(), set()
     cases = [(n, p) for n in (14, 20, 31, 47, 64) for p in (3 / n, 6 / n, 0.15, 0.4)]
     cases += [(100, 0.06), (140, 0.04), (200, 0.025)]
     for n, p in cases:
@@ -522,8 +559,11 @@ def test_anchored_scan_matches_blocked_along_plain_descents(k):
         for order, key in _blocked_descent(instance, start, k):
             heavy = _order_heavy(instance, order)
             assert _anchored_key(instance, order, heavy, k) == key, (n, p, order.tolist())
+            assert _scan_key(instance, order, k, False) == key, (n, p, order.tolist())
             sides.add(_ANCHOR_COST[k] * _anchored_candidates(instance, order, heavy, k) < n * n)
-    assert sides == {False, True}
+            if neighborhood_size(n, k) > moves._GATHER_MAX and key is not None:
+                prefix.add(_gathered(instance, order, k, False) == key)
+    assert sides == prefix == {False, True}
 
 
 def _random_key(rng, n, k):
@@ -565,7 +605,7 @@ def test_anchored_scan_matches_gather_keys(k):
             kept = tour.edge_set - mv.removed
             for light in [mv.added, *({e} for e in sorted(mv.added))]:
                 instance = Instance(n, frozenset(kept | light))
-                expected = _gathered_key(_position_costs(instance, tour.order)[None], k, False)[0]
+                expected = _gathered(instance, tour.order, k, False)
                 assert expected is not None and expected <= key
                 assert _anchored(instance, tour.order, k) == expected, (n, key, light)
 
@@ -641,32 +681,32 @@ def test_triple_codes_name_each_walk_by_its_move():
             assert found == ([] if expected is None else [expected]), (walk, ins)
 
 
-def _key_instance(n, keys):
+def _key_instance(n, keys, k=3):
     """Identity tour on n vertices where, for each key, the removed tour edge
     at position key[1] costs 2; every other tour edge and the keys' added
     edges cost 1, and no other edge does.
 
     Returns the instance, the tour, the keys' moves, and whether those are
-    its only improving moves.
+    its only improving k-moves.
     """
     tour = identity_tour(n)
     only = [_move_from_key(tour, key) for key in keys]
     heavy = {canonical_edge(key[1], key[1] + 1) for key in keys}
     added = frozenset().union(*(m.added for m in only))
     instance = Instance.from_pairs(n, sorted((tour.edge_set - heavy) | added))
-    accepted = [m for m in enumerate_kmoves(tour, 3) if move_gain(instance, tour, m) >= 1]
+    accepted = [m for m in enumerate_kmoves(tour, k) if move_gain(instance, tour, m) >= 1]
     alone = sorted((m.removed, m.added) for m in accepted) == sorted(
         (m.removed, m.added) for m in only
     )
     return instance, tour, only, alone
 
 
-def _only_moves(n, keys):
-    """Identity tour on n vertices whose only improving moves have the given
-    scan keys, built by _key_instance.  Returns the instance, the tour, and
-    the move of the least key.
+def _only_moves(n, keys, k=3):
+    """Identity tour on n vertices whose only improving k-moves have the
+    given scan keys, built by _key_instance.  Returns the instance, the
+    tour, and the move of the least key.
     """
-    instance, tour, only, alone = _key_instance(n, keys)
+    instance, tour, only, alone = _key_instance(n, keys, k)
     assert alone
     # Cost-2 tour edges that share no vertex leave no isolated vertex, so ++
     # accepts the same moves.
@@ -693,6 +733,27 @@ def test_every_key_that_can_be_the_only_move_is_found(n, count):
             _assert_first_found(n, key)
             found += 1
     assert found == count
+
+
+@pytest.mark.parametrize("k, n", [(3, 14), (3, 20), (2, 47), (2, 60)])
+def test_only_move_at_the_gathered_prefix_boundary(k, n):
+    # Past the gather cap, the only move at rank _GATHER_MAX - 1, the last
+    # of the gathered prefix, and at the ranks just past it, or where a rank
+    # admits no lone key the nearest that does.
+    keys = _generated_keys(n, k)
+    cap = moves._GATHER_MAX
+    assert len(keys) > cap + 1
+    ranks = []
+    for rank in (cap - 1, cap, cap + 1):
+        nearest = sorted(range(len(keys)), key=lambda r: (abs(r - rank), r))
+        ranks.append(next(r for r in nearest if _key_instance(n, [keys[r]], k)[3]))
+    assert ranks[0] < cap <= ranks[-1]
+    for rank in ranks:
+        instance, tour, move = _only_moves(n, [keys[rank]], k)
+        for plusplus in (False, True):
+            assert _assert_scans_match(instance, tour, k, plusplus) == move
+            gathered = keys[rank] if rank < cap else None
+            assert _gathered(instance, tour.order, k, plusplus) == gathered
 
 
 @pytest.mark.parametrize("pid", [1, 2, 3, 4])
@@ -755,14 +816,15 @@ def test_scan_peak_within_byte_budget(plusplus, s):
         instance, tour = family.instance, family.tour
 
     def verdict():
-        if plusplus and s is not None:
-            # The family's tour has no isolated vertex, so its certificate
-            # takes the plain scan: the blocked ++ scan is called directly.
-            assert count_zero_paths(instance, tour) == 0
-            key = _least_key(_position_costs(instance, tour.order), 3, True)
+        if s is None or plusplus:
+            # find_improving would not reach the blocked scan, so it is
+            # called directly: the identity tour's first accepted key lies
+            # in the gathered prefix, and the ++ family's tour has no
+            # isolated vertex, so its certificate takes the plain scan.
+            assert s is None or count_zero_paths(instance, tour) == 0
+            key = _least_key(_position_costs(instance, tour.order), 3, plusplus)
             return "optimal" if key is None else "non-optimal"
-        certify = certify_kpp_optimal if plusplus else certify_k_optimal
-        return certify(instance, tour, 3).verdict
+        return certify_k_optimal(instance, tour, 3).verdict
 
     instance.cost_matrix  # cached, so only the scan is measured
     tracemalloc.start()
@@ -781,21 +843,22 @@ def test_scan_peak_below_n_256_holds_one_row(plusplus):
     # weigh more per n^2 entry.  When the only cost-2 edges are the tour's,
     # row 0 holds an accepted triple and the scan builds no other row: at
     # n = 72 it peaks at 35.8 (plain) and 27.8 (++) bytes per n^2 entry,
-    # where building 13 rows at once takes 58.1 and 50.1.
+    # where building 13 rows at once takes 58.1 and 50.1.  find_improving
+    # finds that triple in the gathered prefix, so the blocked scan is
+    # called directly.
     n = 72
     tour = identity_tour(n)
     instance = Instance.from_pairs(
         n, (e for e in itertools.combinations(range(n), 2) if e not in tour.edge_set)
     )
-    certify = certify_kpp_optimal if plusplus else certify_k_optimal
     instance.cost_matrix  # cached, so only the scan is measured
     tracemalloc.start()
     try:
-        verdict = certify(instance, tour, 3).verdict
+        key = _least_key(_position_costs(instance, tour.order), 3, plusplus)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert verdict == "non-optimal"
+    assert key is not None
     assert peak <= 44 * n**2
 
 
@@ -861,7 +924,10 @@ def test_pp_scan_matches_enumeration_on_merging_family():
 
 @pytest.mark.parametrize("k", [2, 3])
 def test_pp_scan_matches_blocked_along_pp_descents(k):
-    without = 0
+    # Past the gather cap the gathered prefix both holds the key and misses
+    # it, and some keys it holds have gain 0.
+    without = merging = 0
+    prefix = set()
     cases = [(14, 0.3), (20, 0.15), (31, 0.1), (47, 0.1), (47, 0.3), (64, 0.06)]
     cases += [(100, 0.05), (100, 0.1), (140, 0.03), (200, 0.025)]
     for n, p in cases:
@@ -871,8 +937,14 @@ def test_pp_scan_matches_blocked_along_pp_descents(k):
         for order, key in _blocked_descent(instance, start, k, True):
             assert _scan_key(instance, order, k, True) == key, (n, p, order.tolist())
             if neighborhood_size(n, k) > moves._GATHER_MAX:
-                without += count_zero_paths(instance, Tour(tuple(order.tolist()))) == 0
-    assert without > 0
+                tour = Tour(tuple(order.tolist()))
+                without += count_zero_paths(instance, tour) == 0
+                if key is not None:
+                    hit = _gathered(instance, order, k, True) == key
+                    prefix.add(hit)
+                    merging += hit and move_gain(instance, tour, _move_from_key(tour, key)) == 0
+    assert without > 0 and merging > 0
+    assert prefix == {False, True}
 
 
 @pytest.mark.parametrize("k, n", [(2, 48), (2, 56), (3, 16), (3, 24), (3, 40)])
