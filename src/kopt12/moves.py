@@ -47,12 +47,13 @@ candidate's gain, and the first with gain >= 1 is the plain answer.  Under
 ++ dz is computed only for the zero-gain candidates ahead of it, from each
 endpoint's two edges before and after the move, and the first of those
 with dz < 0, if any, is taken instead.  The same cache holds each move's
-scan key, so every scan returns a key.  Keys order moves as the generator
-does, so when the prefix holds an accepted key it holds the least one; only
-when it holds none does a larger neighborhood go on to the blocked scan, or
-the anchored one below.
-The gather scores a stack of tours at once, one column each; a single scan
-is a stack of one.
+scan key as an integer code, decoded only for the key a scan returns.  Keys
+order moves as the generator does, so when the prefix holds an accepted key
+it holds the least one; only when it holds none does a larger neighborhood
+go on to the blocked scan, or the anchored one below.  The gather scores a
+stack of tours at once, one column each, and every scan is such a stack:
+_scan_keys gathers every row at once, and past the cap sends each row whose
+prefix misses on alone.
 
 Under the plain predicate a larger neighborhood may be scanned from the
 tour's l cost-2 edges instead (the anchored scan).  An accepted move gains
@@ -63,9 +64,9 @@ the gain criterion of Lin & Kernighan (1973), in O(l d^2) candidates for
 light degree at most d, and never builds the (n+1)^2 position costs.  Each
 step takes whichever of the anchored and blocked scans an O(l) estimate of
 the walks finds cheaper, and always the anchored one when the blocked
-tables would pass the dense-table cap.  Above the gather cap a ++ scan of
-a tour with no isolated vertex is a plain scan: no move lowers a count of
-zero, so ++ accepts exactly the moves of gain >= 1.  The generator with
+tables would pass the dense-table cap.  Past the gathered prefix a ++ scan
+of a tour with no isolated vertex is a plain scan: no move lowers a count
+of zero, so ++ accepts exactly the moves of gain >= 1.  The generator with
 is_improving_pp is the reference semantics, and the tests check every scan
 against it.
 
@@ -74,12 +75,13 @@ Bentley (1992): each step takes the least accepted key from the scan and
 applies it by segment reversals and exchanges (_reconnect) followed by one
 roll and at most one flip back to the canonical order that apply_move
 returns.  _descend runs many descents on the same n in lock step: each
-step scans every row still descending, at gathered sizes by one stacked
-gather, and applies each row's move by _reconnect.  local_search is a
-descent of one row, and the sweep descends each (n, p) cell's tours
-together; a Tour is built only for each result.  find_improving turns the
-key into a KMove with its gain; it, apply_move and enumerate_kmoves are
-the oracles the tests hold the descent to.
+step scans every row still descending by one _scan_keys call, and applies
+each row's move by _reconnect.  local_search is a descent of one row, which
+reads its cost matrix in place, and the sweep descends each (n, p) cell's
+tours together; a Tour is built only for each result.  find_improving is
+a scan of one row that turns the key into a KMove with its gain; it,
+apply_move and enumerate_kmoves are the oracles the tests hold the descent
+to.
 """
 
 from __future__ import annotations
@@ -491,8 +493,8 @@ def _reconnect(order: np.ndarray, key: tuple) -> np.ndarray:
 # join; one read of their costs through the tour order, and one take from
 # those, give every candidate's three removed and three added edges (a
 # 2-move pads both third slots with the pair (0, 0), of cost 0), and the
-# plain scan returns the key of the first candidate of gain >= 1, from the
-# tuple of the scan keys the generator yields with its moves.  Under ++ a
+# plain scan returns the key of the first candidate of gain >= 1, decoded
+# from the _key_code of the scan key the generator yields with it.  Under ++ a
 # zero-gain candidate ahead of it is accepted when dz < 0.  dz is computed
 # for those candidates alone (for every candidate it made ++ slower than
 # the blocked scan from n = 16 on), from the at most six endpoints of the
@@ -503,11 +505,10 @@ def _reconnect(order: np.ndarray, key: tuple) -> np.ndarray:
 # a few reads of the tables' cells, not O(n^2).
 #
 # The scan takes the cells' costs on B tours, one column per tour, so the
-# same take and arithmetic score every tour's candidates: B = 1 for
-# find_improving and every scan past the cap, whose costs _prefix_key reads
-# from the instance's cost matrix, and below it every still-descending row
-# of a lock-step _descend, whose costs _stacked_costs reads from a stack of
-# cost matrices.
+# same take and arithmetic score every tour's candidates.  _stacked_costs
+# reads them from a stack of cost matrices: every still-descending row of a
+# lock-step _descend, or B = 1 for find_improving and a one-row descent,
+# whose stack is the instance's cost matrix viewed in place.
 # ---------------------------------------------------------------------------
 
 # Candidates of the gathered scan every scan starts with: the whole
@@ -532,7 +533,8 @@ class _Gather:
     # (8k, m): rows 2s, 2s+1 are endpoint slot s's two tour edges, and rows
     # 4k + 2s, 4k + 2s + 1 its two edges after the move.
     dz: np.ndarray
-    keys: tuple[tuple, ...]  # (i, j) or (i, j, k, pattern id)
+    keys: np.ndarray  # (m,): each scan key's _key_code
+    n: int
 
 
 @functools.cache
@@ -546,7 +548,7 @@ def _gather_tables(n: int, k: int) -> _Gather:
     keys = []
     for key, mv in itertools.islice(_keyed_kmoves(identity_tour(n), k), _GATHER_MAX):
         row = len(keys)
-        keys.append(key)
+        keys.append(_key_code(n, *key[:2], *((key[2] + 1, key[3]) if key[2:] else (0, 0))))
         size = len(mv.removed)
         edges[row, :size] = sorted(u * n + v for u, v in mv.removed)
         edges[row, 3 : 3 + size] = sorted(u * n + v for u, v in mv.added)
@@ -562,12 +564,13 @@ def _gather_tables(n: int, k: int) -> _Gather:
     # The cells index the tour order on every scan, where a narrower type
     # would be converted each time; they are at most a few thousand.
     tables = [np.stack(np.divmod(cells, n)).astype(np.intp)]
-    for table in (np.searchsorted(cells, edges), np.searchsorted(cells, dz)):
-        # The least unsigned type that holds every entry: uint8 for k = 3 up to the cap.
+    for table in (np.searchsorted(cells, edges), np.searchsorted(cells, dz), np.array(keys)):
+        # The least unsigned type that holds every entry: uint8 for the k = 3
+        # indices up to the cap.
         tables.append(np.ascontiguousarray(table, dtype=np.min_scalar_type(table.max())))
     for table in tables:
         table.flags.writeable = False
-    return _Gather(*tables, tuple(keys))
+    return _Gather(*tables, n)
 
 
 def _gathered_key(tables: _Gather, costs: np.ndarray, plusplus: bool) -> list[tuple | None]:
@@ -597,7 +600,13 @@ def _gathered_key(tables: _Gather, costs: np.ndarray, plusplus: bool) -> list[tu
             zero &= np.arange(top)[:, None] < first
         col, row = zero.nonzero()
         if col.size:
-            heavy = cells.take(_entries(tables.dz.take(col, axis=1), row, cells.shape[1])) == 2
+            # Flat indices into cells of each candidate's endpoint edges on its tour.
+            index = tables.dz.take(col, axis=1)
+            if cells.shape[1] > 1:
+                index = index.astype(np.intp)
+                index *= cells.shape[1]
+                index += row
+            heavy = cells.take(index) == 2
             isolated = heavy[0::2] & heavy[1::2]
             slots = len(isolated) // 2
             # dz < 0: fewer of the endpoints are isolated after the move than before.
@@ -605,7 +614,7 @@ def _gathered_key(tables: _Gather, costs: np.ndarray, plusplus: bool) -> list[tu
             # By column, so each tour's first merging candidate comes first.
             for c, r in zip(col[merging].tolist(), row[merging].tolist()):
                 first[r] = min(first[r], c)
-    return [tables.keys[f] if f < m else None for f in first]
+    return [_key_from_code(tables.n, tables.keys.item(f)) if f < m else None for f in first]
 
 
 def _stacked_costs(
@@ -620,16 +629,6 @@ def _stacked_costs(
     x *= n
     x += y
     return costs.take(x)
-
-
-def _entries(index: np.ndarray, row: np.ndarray, rows: int) -> np.ndarray:
-    """Flat indices, into an array of rows columns, of rows index of columns row."""
-    if rows == 1:
-        return index
-    out = index.astype(np.intp)
-    out *= rows
-    out += row
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -854,41 +853,39 @@ def _anchored_key(instance: Instance, order: np.ndarray, heavy: np.ndarray, k: i
     return None if best == none else _key_from_code(n, best)
 
 
-def _scan_key(instance: Instance, order: np.ndarray, k: int, plusplus: bool) -> tuple | None:
-    """Least accepted scan key of the tour order (an int array), or None.
+def _scan_keys(
+    instances: list[Instance], costs: np.ndarray, orders: np.ndarray, rows: np.ndarray,
+    k: int, plusplus: bool,
+) -> list[tuple | None]:
+    """Least accepted scan key of tour order orders[r] on instances[r], whose
+    cost matrix is costs[r], or None, for each r in rows.
 
-    Past the gather cap ++ first reduces to the plain predicate on a tour
-    with no isolated vertex.  The gathered scan of the first _GATHER_MAX
-    keys, the whole neighborhood up to the cap, finds the key when they hold
-    it.  Past them the blocked scan runs, or under the plain predicate the
-    anchored one when it is estimated cheaper or the blocked scan would pass
-    the dense-table cap."""
-    n = instance.n
-    whole = neighborhood_size(n, k) <= _GATHER_MAX
-    if not whole:
+    One stacked gathered scan of the first _GATHER_MAX keys, the whole
+    neighborhood up to the cap, finds every row's key that they hold.  Past
+    the cap each row whose prefix holds none goes on alone: ++ first reduces
+    to the plain predicate on a tour with no isolated vertex, then the
+    blocked scan runs, or under the plain predicate the anchored one when it
+    is estimated cheaper or the blocked scan would pass the dense-table cap."""
+    n = orders.shape[1]
+    tables = _gather_tables(n, k)
+    keys = _gathered_key(tables, _stacked_costs(costs, orders, rows, tables), plusplus)
+    if neighborhood_size(n, k) <= _GATHER_MAX:
+        return keys
+    for at, r in enumerate(rows.tolist()):
+        if keys[at] is not None:
+            continue
+        instance, order = instances[r], orders[r]
         heavy = _order_heavy(instance, order)
         # With no isolated vertex no move lowers their count: ++ accepts what plain does.
-        plusplus = plusplus and bool((heavy[:-1] & heavy[1:]).any() or heavy[-1] & heavy[0])
-    key = _prefix_key(instance, order, k, plusplus)
-    if key is not None or whole:
-        return key
-    if not plusplus:
-        if _blocked_over_cap(n, k) or (
-            _ANCHOR_COST[k] * _anchored_candidates(instance, order, heavy, k) < n * n
+        pp = plusplus and bool((heavy[:-1] & heavy[1:]).any() or heavy[-1] & heavy[0])
+        if not pp and (
+            _blocked_over_cap(n, k)
+            or _ANCHOR_COST[k] * _anchored_candidates(instance, order, heavy, k) < n * n
         ):
-            return _anchored_key(instance, order, heavy, k)
-    return _least_key(_position_costs(instance, order), k, plusplus)
-
-
-def _prefix_key(instance: Instance, order: np.ndarray, k: int, plusplus: bool) -> tuple | None:
-    """First accepted scan key among the first _GATHER_MAX of the tour order
-    (an int array), or None when none of them is accepted."""
-    n = instance.n
-    tables = _gather_tables(n, k)
-    x, y = order.take(tables.cells)
-    x *= n
-    x += y
-    return _gathered_key(tables, instance.cost_matrix.take(x)[:, None], plusplus)[0]
+            keys[at] = _anchored_key(instance, order, heavy, k)
+        else:
+            keys[at] = _least_key(_position_costs(instance, order), k, pp)
+    return keys
 
 
 def _blocked_over_cap(n: int, k: int) -> bool:
@@ -917,7 +914,8 @@ def find_improving(
     """
     validate_tour(instance, tour)
     _check_scan(instance.n, k, plusplus)
-    key = _scan_key(instance, np.array(tour.order, dtype=np.intp), k, plusplus)
+    orders = np.array([tour.order], dtype=np.intp)
+    key = _scan_keys([instance], instance.cost_matrix[None], orders, np.arange(1), k, plusplus)[0]
     if key is None:
         return None
     mv = _move_from_key(tour, key)
@@ -954,27 +952,23 @@ def _descend(
 
     Returns the final orders, one row each, and each row's iterations: its
     scans, the last of which found no move.  Each step scans every row
-    still descending: neighborhoods of at most _GATHER_MAX candidates by one
-    gathered scan of all the rows, larger ones a row at a time by _scan_key.
-    Each row's move is applied by _reconnect.
+    still descending by _scan_keys and applies each row's move by
+    _reconnect.
     """
     orders = np.array(orders, dtype=np.intp)
     n = orders.shape[1]
     iterations = [0] * len(orders)
     active = np.arange(len(orders))
-    if neighborhood_size(n, k) <= _GATHER_MAX:
-        costs = np.stack([instance.cost_matrix for instance in instances])
-        tables = _gather_tables(n, k)
+    # One row reads its cost matrix in place, not as an n^2 copy in a stack.
+    if len(instances) == 1:
+        costs = instances[0].cost_matrix[None]
     else:
-        costs = None
+        costs = np.stack([instance.cost_matrix for instance in instances])
     # Every accepted move lowers (n+1) * cost + isolated vertices by at least
     # 1, from at most 2n^2 + 3n to at least n^2 + n: n^2 + 2n moves at most.
     limit = n**2 + 2 * n + 1
     for step in range(1, limit + 1):
-        if costs is None:
-            keys = [_scan_key(instances[r], orders[r], k, plusplus) for r in active]
-        else:
-            keys = _gathered_key(tables, _stacked_costs(costs, orders, active, tables), plusplus)
+        keys = _scan_keys(instances, costs, orders, active, k, plusplus)
         moving = []
         for r, key in zip(active.tolist(), keys):
             if key is None:

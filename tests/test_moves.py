@@ -61,9 +61,8 @@ from kopt12.moves import (
     _least_key,
     _move_from_key,
     _position_costs,
-    _prefix_key,
     _reconnect,
-    _scan_key,
+    _scan_keys,
     _score_terms,
     _triple_row,
 )
@@ -241,8 +240,18 @@ class TestApplyMoveErrors:
 
 def _gathered(instance, order, k, plusplus):
     """The gathered scan's key for a tour order (any sequence): the first
-    accepted key among the first _GATHER_MAX, or None."""
-    return _prefix_key(instance, np.array(order, dtype=np.intp), k, plusplus)
+    accepted key among the first _GATHER_MAX, or None.  The costs of the
+    tables' cells are read here, apart from _stacked_costs."""
+    tables = _gather_tables(instance.n, k)
+    x, y = np.asarray(order)[tables.cells]
+    return _gathered_key(tables, instance.cost_matrix[x, y][:, None], plusplus)[0]
+
+
+def _scanned(instance, order, k, plusplus):
+    """find_improving's key for a tour order (an int array): _scan_keys on
+    one row."""
+    orders = np.asarray(order)[None]
+    return _scan_keys([instance], instance.cost_matrix[None], orders, np.arange(1), k, plusplus)[0]
 
 
 @functools.cache
@@ -337,14 +346,15 @@ def test_gather_tables_decode_to_enumeration(k):
     for n in _gathered_sizes(k) + [last + 1, last + 7, 3 * last]:
         tour = identity_tour(n)
         tables = _gather_tables(n, k)
-        keys = list(tables.keys)
+        keys = [moves._key_from_code(n, code) for code in tables.keys.tolist()]
         generated = list(itertools.islice(_keyed_kmoves(tour, k), moves._GATHER_MAX))
         expected = [mv for _, mv in generated]
-        assert tables.edges.shape[1] == tables.dz.shape[1] == len(expected) == len(keys)
+        assert tables.edges.shape[1] == tables.dz.shape[1] == len(expected) == len(tables.keys)
         assert len(keys) == min(neighborhood_size(n, k), moves._GATHER_MAX)
         # The generator yields its keys in key order, the order the scans search.
         assert keys == [key for key, _ in generated] == sorted(set(keys))
-        assert not any(a.flags.writeable for a in (tables.cells, tables.edges, tables.dz))
+        arrays = (tables.cells, tables.edges, tables.dz, tables.keys)
+        assert not any(a.flags.writeable for a in arrays)
         cells = list(zip(*tables.cells.tolist()))
         assert len(set(cells)) == len(cells)
         for column, mv in enumerate(expected):
@@ -366,20 +376,23 @@ def test_gather_tables_decode_to_enumeration(k):
 
 
 def test_gather_tables_fit_their_budget():
-    # 6 edge and 8k endpoint-edge indices per candidate, each table in the
-    # least unsigned type that holds it, and 2 intp positions per cell:
-    # 17,674 candidates up to the cap take 0.92 MiB, and a prefix of 1,024
-    # past it at most 92.2 KiB (k = 3 at n = 10,000).
+    # 6 edge and 8k endpoint-edge indices and one key code per candidate,
+    # each table in the least unsigned type that holds it, and 2 intp
+    # positions per cell: 17,674 candidates up to the cap take 0.98 MiB, and
+    # a prefix of 1,024 past it at most 92.2 KiB (k = 3 at n = 10,000) and
+    # 4 KiB of key codes.
     def arrays(tables):
         assert tables.cells.dtype == np.intp
-        assert tables.edges.dtype.kind == tables.dz.dtype.kind == "u"
-        return [tables.cells, tables.edges, tables.dz]
+        assert tables.edges.dtype.kind == tables.dz.dtype.kind == tables.keys.dtype.kind == "u"
+        return [tables.cells, tables.edges, tables.dz, tables.keys]
 
     gathered = [a for k in (2, 3) for n in _gathered_sizes(k) for a in arrays(_gather_tables(n, k))]
     assert all(a.flags.c_contiguous for a in gathered)
     assert sum(a.nbytes for a in gathered) <= 2**20
     for k, n in [(2, 47), (2, 2000), (2, 12000), (3, 14), (3, 288), (3, 10000)]:
-        assert sum(a.nbytes for a in arrays(_gather_tables(n, k))) <= 96 * 2**10
+        *index, keys = arrays(_gather_tables(n, k))
+        assert sum(a.nbytes for a in index) <= 96 * 2**10
+        assert keys.nbytes <= 4 * 2**10
 
 
 def _shuffled_tour(n, seed):
@@ -503,6 +516,40 @@ def test_descend_raises_when_one_row_reaches_the_limit(monkeypatch):
 
 @pytest.mark.parametrize("plusplus", [False, True])
 @pytest.mark.parametrize("k", [2, 3])
+def test_lock_step_descents_past_the_gather_cap_match_local_search(monkeypatch, k, plusplus):
+    # Shuffled starts and tours one random move from a local optimum, on
+    # several instances, descend together; in some step the gathered prefix
+    # holds some rows' keys and misses others', which go on to the tail.
+    sizes = range(14, 19) if k == 3 else range(47, 51)
+    gathered_key = moves._gathered_key
+    steps = []
+
+    def recording(tables, costs, pp):
+        keys = gathered_key(tables, costs, pp)
+        steps.append(keys)
+        return keys
+
+    for n in sizes:
+        assert neighborhood_size(n, k) > moves._GATHER_MAX
+        rng = random.Random(n * 10 + k + plusplus)
+        instances, starts = [], []
+        for seed, p in enumerate((3 / n, 0.15, 0.3), n * 100):
+            instance = random_instance(n, p, seed)
+            optimum, _ = local_search(instance, k=k, plusplus=plusplus, seed=seed)
+            near = apply_move(optimum, _move_from_key(optimum, _random_key(rng, n, k)))
+            instances += [instance] * 2
+            starts += [_shuffled_tour(n, seed + 1), near]
+        with monkeypatch.context() as patched:
+            patched.setattr(moves, "_gathered_key", recording)
+            orders, iterations = moves._descend(instances, [t.order for t in starts], k, plusplus)
+        for instance, start, order, count in zip(instances, starts, orders, iterations):
+            tour, stats = local_search(instance, start=start, k=k, plusplus=plusplus)
+            assert (tuple(order.tolist()), count) == (tour.order, stats.iterations), n
+    assert any(None in keys and keys.count(None) < len(keys) for keys in steps)
+
+
+@pytest.mark.parametrize("plusplus", [False, True])
+@pytest.mark.parametrize("k", [2, 3])
 def test_scan_matches_enumeration_at_gather_cap(k, plusplus):
     last = _gathered_sizes(k)[-1]
     # The last gathered n and the first dense one.
@@ -546,9 +593,9 @@ def _blocked_descent(instance, order, k, plusplus=False):
 def test_anchored_scan_matches_blocked_along_plain_descents(k):
     # Shuffled starts have cost-2 edges at nearly every position, so the
     # selection rule takes the blocked scan first and the anchored one by the
-    # end; both scans, and _scan_key, are compared at every step either way.
-    # Past the gather cap _scan_key's gathered prefix both holds the key and
-    # misses it.
+    # end; both scans, and _scan_keys, are compared at every step either way.
+    # Past the gather cap the gathered prefix both holds the key and misses
+    # it.
     sides, prefix = set(), set()
     cases = [(n, p) for n in (14, 20, 31, 47, 64) for p in (3 / n, 6 / n, 0.15, 0.4)]
     cases += [(100, 0.06), (140, 0.04), (200, 0.025)]
@@ -559,7 +606,7 @@ def test_anchored_scan_matches_blocked_along_plain_descents(k):
         for order, key in _blocked_descent(instance, start, k):
             heavy = _order_heavy(instance, order)
             assert _anchored_key(instance, order, heavy, k) == key, (n, p, order.tolist())
-            assert _scan_key(instance, order, k, False) == key, (n, p, order.tolist())
+            assert _scanned(instance, order, k, False) == key, (n, p, order.tolist())
             sides.add(_ANCHOR_COST[k] * _anchored_candidates(instance, order, heavy, k) < n * n)
             if neighborhood_size(n, k) > moves._GATHER_MAX and key is not None:
                 prefix.add(_gathered(instance, order, k, False) == key)
@@ -655,11 +702,16 @@ def test_anchored_certificate_within_byte_budget():
     tracemalloc.start()
     try:
         cert = certify_k_optimal(instance, tour, 3)
-        peak = tracemalloc.get_traced_memory()[1]
+        peaks = [tracemalloc.get_traced_memory()[1]]
+        # A descent of one row reads the 100 MB cost matrix in place.
+        tracemalloc.reset_peak()
+        final, stats = local_search(instance, start=tour)
+        peaks.append(tracemalloc.get_traced_memory()[1])
     finally:
         tracemalloc.stop()
     assert cert.verdict == "optimal"
-    assert peak <= moves._ANCHOR_BYTES_PER_CANDIDATE * moves._ANCHOR_CHUNK
+    assert (final, stats.iterations) == (tour, 1)
+    assert max(peaks) <= moves._ANCHOR_BYTES_PER_CANDIDATE * moves._ANCHOR_CHUNK
 
 
 def test_triple_codes_name_each_walk_by_its_move():
@@ -918,7 +970,7 @@ def test_pp_scan_matches_enumeration_on_merging_family():
 
 # ---------------------------------------------------------------------------
 # ++ on tours with no isolated vertex: no move lowers a count of zero, so
-# above the gather cap _scan_key runs the plain scan.
+# past the gathered prefix _scan_keys runs the plain scan.
 # ---------------------------------------------------------------------------
 
 
@@ -935,7 +987,7 @@ def test_pp_scan_matches_blocked_along_pp_descents(k):
         instance = random_instance(n, p, seed)
         start = np.array(_shuffled_tour(n, seed).order, dtype=np.intp)
         for order, key in _blocked_descent(instance, start, k, True):
-            assert _scan_key(instance, order, k, True) == key, (n, p, order.tolist())
+            assert _scanned(instance, order, k, True) == key, (n, p, order.tolist())
             if neighborhood_size(n, k) > moves._GATHER_MAX:
                 tour = Tour(tuple(order.tolist()))
                 without += count_zero_paths(instance, tour) == 0
