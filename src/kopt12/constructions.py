@@ -8,10 +8,11 @@ never silently hand out a miscosted family.
 Vertex labels live on a cycle.  The two-opt family is a ring plus chords;
 the three-opt and merging families are unions of shifted copies of a fixed
 template block of 8 and 6 vertices.  FAMILIES names the three families and
-records, for each, its size parameter, generator and block period.  Each
-generator checks the size of the cost matrix before it builds any edge, so
-an oversize member is refused at once; random_instance budgets its expected
-edge set as well.
+records, for each, its size parameter, generator, block period and least
+size, whose vertices method gives a member's vertex count.  Each generator
+asks it, then checks the size of the cost matrix, before it builds any
+edge, so an undersize or oversize member is refused at once;
+random_instance budgets its expected edge set as well.
 """
 
 from __future__ import annotations
@@ -123,30 +124,13 @@ def _cycle(edges: frozenset[Edge]) -> tuple[int, ...]:
         raise ConstructionError(f"reference {exc}") from None
 
 
-def _size_check(label: str, opt: str, least: int) -> Callable[[int], None]:
-    """A check that refuses a family size below least, as the family's
-    generator does before it builds anything."""
-
-    def check(size: int) -> None:
-        if size < least:
-            raise InvalidArgumentError(f"{label} family needs {opt} >= {least}, got {size}")
-
-    return check
-
-
-_check_two_opt = _size_check("two-opt", "n", 7)
-_check_three_opt = _size_check("three-opt", "s", 3)
-_check_merging = _size_check("merging", "s", 2)
-
-
 def gen_two_opt_lb(n: int) -> FamilyOutput:
     """Ring plus even chords; a 2-optimal tour of cost n + floor((n-2)/2).
 
     The designated tour takes odd vertices up and even vertices down, using
     every second ring edge and every chord once.  The identity tour costs n.
     """
-    _check_two_opt(n)
-    check_dense_size(n)
+    check_dense_size(FAMILIES["two-opt-lb"].vertices(n))
     edges = {canonical_edge(i, i + 1) for i in range(n - 1)}
     edges.add(canonical_edge(0, n - 1))
     edges.update(canonical_edge(i, i + 2) for i in range(0, n - 2, 2))
@@ -169,8 +153,8 @@ def build_three_opt_reference(s: int) -> Tour:
     Each cycle uses 2s cost-1 edges; opening each at its smallest edge and
     chaining the paths costs at most 8s + 4.
     """
-    _check_three_opt(s)
-    n = 8 * s
+    family = FAMILIES["three-opt-lb"]
+    n = family.vertices(s)
     cycles = (
         ((2, 5), (2, 13)),
         ((0, 3), (-8, 3)),
@@ -179,7 +163,7 @@ def build_three_opt_reference(s: int) -> Tour:
     )
     order: list[int] = []
     for template in cycles:
-        cycle = _cycle(_template_edges(n, s, 8, template))
+        cycle = _cycle(_template_edges(n, s, family.period, template))
         # Open the cycle at its least edge {m, smaller neighbour of m}: the
         # path runs from m the other way round, ending at that neighbour.
         order += (cycle[0],) + cycle[:0:-1]
@@ -192,10 +176,10 @@ def gen_three_opt_lb(s: int) -> FamilyOutput:
     The identity tour costs 11s while the reference tour built from four
     disjoint cost-1 cycles costs at most 8s + 4.
     """
-    _check_three_opt(s)
-    n = 8 * s
+    family = FAMILIES["three-opt-lb"]
+    n = family.vertices(s)
     check_dense_size(n)
-    inst = Instance(n, _template_edges(n, s, 8, _THREE_OPT_TEMPLATE))
+    inst = Instance(n, _template_edges(n, s, family.period, _THREE_OPT_TEMPLATE))
     return _checked(
         FamilyOutput(
             instance=inst,
@@ -214,10 +198,10 @@ def gen_three_opt_pp_lb(s: int) -> FamilyOutput:
     {2h, 2h+1} and {2h, 2h+3} around the whole vertex set and is all
     cost-1, so it costs exactly 6s.
     """
-    _check_merging(s)
-    n = 6 * s
+    family = FAMILIES["three-opt-pp-lb"]
+    n = family.vertices(s)
     check_dense_size(n)
-    inst = Instance(n, _template_edges(n, s, 6, _PP_TEMPLATE))
+    inst = Instance(n, _template_edges(n, s, family.period, _PP_TEMPLATE))
     reference = _cycle(_template_edges(n, 3 * s, 2, ((0, 1), (0, 3))))
     return _checked(
         FamilyOutput(
@@ -237,13 +221,23 @@ class Family(NamedTuple):
     generate: Callable[[int], FamilyOutput]
     period: int | None  # vertices per template block; None if not block-built
     bound: Fraction  # the paper's ratio bound, which the family's ratio tends to
-    check_size: Callable[[int], None]  # refuses a size the generator refuses
+    label: str  # the name its size refusal uses
+    least: int  # the smallest size it builds
+
+    def vertices(self, size: int) -> int:
+        """Vertex count of the member of this size, period vertices a block;
+        refuses a size below least, as the generator does first."""
+        if size < self.least:
+            raise InvalidArgumentError(
+                f"{self.label} family needs {self.size} >= {self.least}, got {size}"
+            )
+        return size * (self.period or 1)
 
 
 FAMILIES: dict[str, Family] = {
-    "two-opt-lb": Family("n", gen_two_opt_lb, None, Fraction(3, 2), _check_two_opt),
-    "three-opt-lb": Family("s", gen_three_opt_lb, 8, BOUND_PLAIN, _check_three_opt),
-    "three-opt-pp-lb": Family("s", gen_three_opt_pp_lb, 6, BOUND_PP, _check_merging),
+    "two-opt-lb": Family("n", gen_two_opt_lb, None, Fraction(3, 2), "two-opt", 7),
+    "three-opt-lb": Family("s", gen_three_opt_lb, 8, BOUND_PLAIN, "three-opt", 3),
+    "three-opt-pp-lb": Family("s", gen_three_opt_pp_lb, 6, BOUND_PP, "merging", 2),
 }
 
 

@@ -3,10 +3,12 @@
 held_karp runs the classic subset dynamic program of Held & Karp (1962)
 vectorised over numpy.  Up to _PLAN_MAX_N vertices each subset size is one
 gather, from index arrays cached per size; larger n loop over the last
-vertex j within each size.  On one core of a 2-vCPU Xeon the plan path
-takes about 0.15 / 0.4 / 1.0 ms at n = 9 / 11 / 13 (the loop path 0.9 /
-1.7 / 4.6 ms), and the loop path about 0.04 / 0.18 / 1.1 / 2.4 s at n = 16
-/ 18 / 20 / 21.  held_karp refuses n >= 25, whose tables would pass the
+vertex j within each size.  On one core of a 2-vCPU Xeon (Python 3.11,
+NumPy 2.4), on random instances with p = 0.3, the plan path takes about
+0.09 / 0.19 / 0.7 ms at n = 9 / 11 / 13 (the loop path 0.56 / 1.1 /
+2.8 ms; min of 5 calls on one instance, plan cached), and the loop path
+about 0.02 / 0.1 / 0.64 / 1.5 s at n = 16 / 18 / 20 / 21 (3 instances, one
+call each).  held_karp refuses n >= 25, whose tables would pass the
 dense-table cap.  brute_force enumerates permutations and is kept as an
 independent cross-check for tiny instances.  Both break ties the same way
 so they return identical tours: lexicographically smallest among the
@@ -39,7 +41,7 @@ class ExactResult:
 
 
 # Largest n whose DP runs from a cached index plan, which cuts held_karp at
-# n = 13 from 4.6 to 1.0 ms.  The plan of m = n - 1 holds
+# n = 13 from 2.8 to 0.7 ms.  The plan of m = n - 1 holds
 # 2 m (m - 1) 2^(m-2) + m 2^(m-1) indices: 0.45 MB at n = 13, the default
 # sweep's largest n, and 0.78 MB for all n = 6..13.  It would take 1.8 MB
 # at n = 14 and 290 MB at n = 20, while the loop's Python steps matter less

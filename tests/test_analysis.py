@@ -32,6 +32,9 @@ from kopt12 import (
     ratio_report,
     ratio_upper_bound,
 )
+from kopt12 import analysis
+
+from conftest import instances
 
 
 def test_hexa_ledger_frozen(hexa, hexa_tour, hexa_optimal):
@@ -125,6 +128,15 @@ def test_dual_feasibility():
         dual_feasibility_check(0)
 
 
+def test_dual_feasibility_reports_the_first_violation(monkeypatch):
+    # With y1 = 0 every constraint 0 - 12 b - 12 >= 15 g fails, from i = 1 on.
+    monkeypatch.setattr(analysis, "_DUAL_Y", (0, 12, 3))
+    report = dual_feasibility_check(10)
+    assert not report.ok
+    assert report.first_violation == 1
+    assert report.slack_by_residue[1][-1] < 0
+
+
 def test_ratio_upper_bound_values():
     assert ratio_upper_bound(Fraction(12, 5)) == Fraction(11, 8)
     assert ratio_upper_bound(2) == Fraction(4, 3)
@@ -147,6 +159,19 @@ def test_pp_path_checks_pass_on_merging_family():
     ledger = distribute_counters(fam.instance, fam.tour, fam.reference_tour)
     assert pp_path_checks(ledger).passed
     assert ledger.total <= 2 * ledger.h
+
+
+@settings(max_examples=200, deadline=None)
+@given(instances(min_n=4, max_n=10), st.data())
+def test_pp_path_limits_bound_the_counters_by_2h(instance, data):
+    """The 1-paths partition the vertices, so once every path with x edges
+    carries at most 2x counters, the total is at most 2h."""
+    tour, reference = (
+        Tour(tuple(data.draw(st.permutations(range(instance.n))))) for _ in range(2)
+    )
+    ledger = distribute_counters(instance, tour, reference)
+    if pp_path_checks(ledger).passed:
+        assert ledger.total <= 2 * ledger.h
 
 
 def test_merging_family_ledger_is_all_bad():

@@ -26,7 +26,7 @@ from kopt12 import (
     tour_cost,
 )
 from kopt12.analysis import BOUND_PLAIN, BOUND_PP
-from kopt12 import cli, moves
+from kopt12 import analysis, cli, moves
 from kopt12.core import check_dense_size
 from kopt12.cli import main
 
@@ -398,6 +398,12 @@ class TestVerifyLemmas:
         assert "ratio_bound_12_5=11/8" in lines
         assert "ratio_bound_2=4/3" in lines
 
+    def test_infeasible_multipliers_exit_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(analysis, "_DUAL_Y", (0, 12, 3))
+        rc, lines = run(capsys, ["verify-lemmas", "--max-i", "10"])
+        assert rc == 1
+        assert "dual_ok=false" in lines
+
 
 class TestSweep:
     def test_tiny_grid(self, capsys, tmp_path):
@@ -460,6 +466,24 @@ class TestSweep:
                                 )
                             )
         assert run_sweep(config).records == tuple(expected)
+
+    @pytest.mark.parametrize("label", ["not-locally-optimal", "ratio-bound"])
+    def test_failed_plain_runs_are_violations(self, capsys, monkeypatch, label):
+        # Each plain run fails under the label, the pp runs pass, and the sweep exits 1.
+        if label == "not-locally-optimal":
+
+            def certify(instance, tour, k):
+                return replace(certify_k_optimal(instance, tour, k), verdict="non-optimal")
+
+            monkeypatch.setattr(cli, "certify_k_optimal", certify)
+        else:
+            monkeypatch.setattr(cli, "BOUND_PLAIN", Fraction(1, 2))
+        grid = ["sweep", "--n-min", "6", "--n-max", "6", "--per-cell", "1", "--p", "0.5"]
+        rc, lines = run(capsys, grid)
+        assert rc == 1
+        checks = [line.rsplit("checks=", 1)[1] for line in lines if line.startswith("run ")]
+        assert checks == [label, label, "ok", "ok"]
+        assert "violations=2" in lines
 
     def test_workers_clamped_to_cpu_count(self, monkeypatch):
         pool_sizes = []
@@ -610,8 +634,12 @@ class TestUsage:
             (["three-opt-lb", "--s", "0", "--k", "3"], "three-opt family needs s >= 3, got 0"),
             (["three-opt-lb", "--s", "-2", "--k", "3"], "three-opt family needs s >= 3, got -2"),
             (["two-opt-lb", "--n", "3", "--k", "2"], "two-opt family needs n >= 7, got 3"),
+            (
+                ["three-opt-pp-lb", "--s", "1", "--k", "3", "--plus-plus"],
+                "merging family needs s >= 2, got 1",
+            ),
         ],
-        ids=["three-opt-lb-s0", "three-opt-lb-s-2", "two-opt-lb-n3"],
+        ids=["three-opt-lb-s0", "three-opt-lb-s-2", "two-opt-lb-n3", "three-opt-pp-lb-s1"],
     )
     def test_certify_family_bad_size(self, capsys, argv, message):
         # The family's own size check comes first, as in gen, not a vertex count.
@@ -620,6 +648,15 @@ class TestUsage:
             captured = capsys.readouterr()
             assert captured.err == f"error: {message}\n"
             assert captured.out == ""
+
+    def test_family_failing_its_self_check(self, capsys, monkeypatch):
+        # In blocks of 4 the reference tour's first cycle splits in two.
+        family = cli.FAMILIES["three-opt-lb"]
+        monkeypatch.setitem(cli.FAMILIES, "three-opt-lb", family._replace(period=4))
+        assert main(["gen", "--family", "three-opt-lb", "--s", "4"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: reference edges form more than one cycle\n"
+        assert captured.out == ""
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from kopt12 import (
+    ConstructionError,
     Instance,
     InvalidArgumentError,
     SizeExceededError,
@@ -121,6 +122,11 @@ class TestRegularity:
         result = is_regular("three-opt-lb", 6, 16)
         assert result.regular
 
+    def test_merging_family_not_regular_in_blocks_of_4(self):
+        # Shifting by 4 vertices does not map the period-6 blocks onto themselves.
+        result = is_regular("three-opt-pp-lb", 3, 4)
+        assert (result.regular, result.condition, result.violation) == (False, 2, (1, 2))
+
     def test_argument_errors(self):
         with pytest.raises(InvalidArgumentError):
             is_regular("no-such-family", 8, 8)
@@ -134,6 +140,50 @@ class TestRegularity:
             is_regular("three-opt-lb", 8, 0)
         with pytest.raises(InvalidArgumentError):
             is_regular("three-opt-lb", 4, 4)
+
+
+def _pp_template_without_0_1(monkeypatch):
+    monkeypatch.setattr(constructions, "_PP_TEMPLATE", constructions._PP_TEMPLATE[1:])
+
+
+def _three_opt_template_without_2_5(monkeypatch):
+    template = tuple(e for e in constructions._THREE_OPT_TEMPLATE if e != (2, 5))
+    monkeypatch.setattr(constructions, "_THREE_OPT_TEMPLATE", template)
+
+
+def _three_opt_in_blocks_of_4(monkeypatch):
+    family = constructions.FAMILIES["three-opt-lb"]
+    monkeypatch.setitem(constructions.FAMILIES, "three-opt-lb", family._replace(period=4))
+
+
+# A broken family, the member it is asked for, and the self-check that refuses it.
+BROKEN_FAMILIES = [
+    # Without the {0, 1} block edges the identity tour costs 2 more per block.
+    (_pp_template_without_0_1, gen_three_opt_pp_lb, 2, "designated tour costs 18, claimed 16"),
+    # The reference tour's {2, 5} edges now cost 2.
+    (
+        _three_opt_template_without_2_5,
+        gen_three_opt_lb,
+        3,
+        "reference tour costs 29, above the claimed bound 28",
+    ),
+    # In blocks of 4 the reference's first cycle splits into even and odd blocks.
+    (_three_opt_in_blocks_of_4, gen_three_opt_lb, 4, "reference edges form more than one cycle"),
+]
+
+
+@pytest.mark.parametrize(
+    "break_family, generate, size, message",
+    BROKEN_FAMILIES,
+    ids=["designated-cost", "reference-bound", "reference-cycle"],
+)
+def test_generators_refuse_members_that_fail_their_claims(
+    monkeypatch, break_family, generate, size, message
+):
+    break_family(monkeypatch)
+    with pytest.raises(ConstructionError) as exc:
+        generate(size)
+    assert str(exc.value) == message
 
 
 class TestRandomInstance:

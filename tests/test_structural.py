@@ -209,14 +209,26 @@ def test_structural_checks_refuse_unknown_predicates():
 )
 def test_structural_checks_name_the_first_failed_check(label, p, seed):
     # Seeded shuffles on 6 vertices against the optimum.  Properties 1 and 5
-    # and both count bounds were never the first failure in 24,000 checks
+    # and the count bound were never the first failure in 24,000 checks
     # (n = 6..10, shuffled and local-optimum tours, both predicates): the
-    # counter placement makes properties 1 and 5 hold, and the count bounds
-    # follow from the five properties and the per-path limits.
+    # counter placement makes properties 1 and 5 hold, and the count bound
+    # follows from the five properties.
     instance = random_instance(6, p, seed)
     reference = held_karp(instance).tour
     tour = Tour(moves._start_order(6, seed))
     assert structural_checks(instance, tour, reference, "plain") == (False, label)
+
+
+def test_structural_checks_name_a_failed_count_bound(monkeypatch):
+    # No tour seen to pass the five properties has failed the count bound
+    # (above), so the rung is forced through the name structural_checks
+    # looks up.
+    instance = random_instance(8, 0.5, 1)
+    tour, _ = local_search(instance, k=3)
+    reference = held_karp(instance).tour
+    assert structural_checks(instance, tour, reference, "plain") == (True, "")
+    monkeypatch.setattr(cli, "count_bound_check", lambda ledger: False)
+    assert structural_checks(instance, tour, reference, "plain") == (False, "count-bound")
 
 
 def test_endpoint_pairs_refuse_vertices_outside_the_instance(endpoint_instance):
