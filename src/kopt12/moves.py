@@ -245,10 +245,14 @@ def apply_move(tour: Tour, move: KMove) -> Tour:
         raise InvalidMoveError(f"reconnection fails: {exc}") from None
 
 
+def _isolated(heavy: np.ndarray) -> np.ndarray:
+    """Whether each position's vertex is isolated: its tour edges x-1 and x are heavy."""
+    return heavy & heavy.take(np.arange(-1, len(heavy) - 1))
+
+
 def count_zero_paths(instance: Instance, tour: Tour) -> int:
-    """Number of 1-paths of length 0 (vertices with two cost-2 tour edges)."""
-    heavy = _heavy_edges(instance, tour)
-    return int(np.count_nonzero(heavy[:-1] & heavy[1:])) + int(heavy[-1] & heavy[0])
+    """Number of 1-paths of length 0 (isolated vertices)."""
+    return int(np.count_nonzero(_isolated(_heavy_edges(instance, tour))))
 
 
 def is_improving_pp(instance: Instance, tour: Tour, move: KMove) -> bool:
@@ -345,7 +349,7 @@ def _score_terms(
     base = w * E
     if plusplus:
         heavy_edge = E == 2
-        iso = (heavy_edge[idx - 1] & heavy_edge).astype(np.int16)
+        iso = _isolated(heavy_edge).astype(np.int16)
         lost = iso + iso[nxt]
         # keep[e][x]: the tour edge that end e of removed edge x keeps costs 2.
         keep = (heavy_edge[idx - 1].astype(np.int16), heavy_edge[nxt].astype(np.int16))
@@ -877,7 +881,7 @@ def _scan_keys(
         instance, order = instances[r], orders[r]
         heavy = _order_heavy(instance, order)
         # With no isolated vertex no move lowers their count: ++ accepts what plain does.
-        pp = plusplus and bool((heavy[:-1] & heavy[1:]).any() or heavy[-1] & heavy[0])
+        pp = plusplus and bool(_isolated(heavy).any())
         if not pp and (
             _blocked_over_cap(n, k)
             or _ANCHOR_COST[k] * _anchored_candidates(instance, order, heavy, k) < n * n

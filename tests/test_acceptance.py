@@ -38,6 +38,7 @@ from kopt12 import (
     random_instance,
     ratio_upper_bound,
     run_sweep,
+    structural_checks,
     tour_cost,
 )
 from kopt12 import cli
@@ -56,10 +57,20 @@ def _verdict(tag: str, problems: list[str], detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def sweep_outcome():
-    start = time.perf_counter()
-    result = run_sweep(SweepConfig())
-    elapsed = time.perf_counter() - start
-    return result, elapsed
+    """The default sweep, its wall time, and each run's (instance, final
+    tour, predicate) in record order, recorded through structural_checks."""
+    tours = []
+
+    def recording(instance, tour, optimal_tour, predicate):
+        tours.append((instance, tour, predicate))
+        return structural_checks(instance, tour, optimal_tour, predicate)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "structural_checks", recording)
+        start = time.perf_counter()
+        result = run_sweep(SweepConfig())
+        elapsed = time.perf_counter() - start
+    return result, elapsed, tours
 
 
 def test_criterion_1_two_opt_lower_bound_family():
@@ -168,15 +179,20 @@ def test_criterion_4_regularity_verdicts():
 
 
 def test_criterion_5_sweep_ratio_bounds(sweep_outcome):
-    result, elapsed = sweep_outcome
+    result, elapsed, tours = sweep_outcome
     problems: list[str] = []
     instances = {(r.n, r.p, r.index) for r in result.records}
     if len(instances) < 500:
         problems.append(f"only {len(instances)} instances, wanted >= 500")
-    uncertified = [r for r in result.records if not r.certified]
-    if uncertified:
-        r = uncertified[0]
-        problems.append(f"descent output not certified at n={r.n} p={r.p} i={r.index}")
+    if len(tours) != len(result.records):
+        problems.append(f"{len(tours)} final tours recorded for {len(result.records)} runs")
+    # Each run's certificate is its descent's last scan; certify every final
+    # tour again here, apart from the sweep.
+    for r, (instance, tour, predicate) in zip(result.records, tours):
+        certifier = certify_kpp_optimal if predicate == "pp" else certify_k_optimal
+        if not r.certified or certifier(instance, tour, 3).verdict != "optimal":
+            problems.append(f"descent output not certified at n={r.n} p={r.p} i={r.index}")
+            break
     if result.max_ratio_plain > Fraction(11, 8):
         problems.append(f"plain ratio {result.max_ratio_plain} > 11/8")
     if result.max_ratio_pp > Fraction(4, 3):
@@ -192,7 +208,7 @@ def test_criterion_5_sweep_ratio_bounds(sweep_outcome):
 
 
 def test_criterion_6_counter_machinery(sweep_outcome, hexa, hexa_tour, hexa_optimal):
-    result, _ = sweep_outcome
+    result, _, _ = sweep_outcome
     problems: list[str] = []
     if result.violations != 0:
         problems.append(f"{result.violations} structural violations in sweep")
@@ -216,7 +232,7 @@ def test_criterion_6_counter_machinery(sweep_outcome, hexa, hexa_tour, hexa_opti
 
 
 def test_cli_sweep_report_matches_benchmark_digest(sweep_outcome, monkeypatch, tmp_path, capsys):
-    result, _ = sweep_outcome
+    result, _, _ = sweep_outcome
     configs: list[SweepConfig] = []
 
     def recorded_sweep(config: SweepConfig):

@@ -16,6 +16,7 @@ from kopt12 import (
     SweepResult,
     certify_k_optimal,
     certify_kpp_optimal,
+    find_improving_by_enumeration,
     held_karp,
     local_search,
     random_instance,
@@ -437,8 +438,9 @@ class TestSweep:
     def test_records_match_one_run_at_a_time(self):
         # The cells descend in lock step; each record must be the one a
         # separate local_search, held_karp, certificate and structural check
-        # give.  n = 14 is past the k = 3 gather cap, so its descents scan a
-        # row at a time.
+        # give, and each final tour must hold no accepted move by the
+        # generator.  n = 14 is past the k = 3 gather cap, so its descents
+        # scan a row at a time.
         config = SweepConfig(n_min=12, n_max=14, per_cell=2, p_values=(0.3, 0.7), seed=5)
         expected = []
         for p in config.p_values:
@@ -456,6 +458,9 @@ class TestSweep:
                                 instance, k=3, plusplus=predicate == "pp", seed=start_seed
                             )
                             certified = certifier(instance, tour, 3).verdict == "optimal"
+                            assert find_improving_by_enumeration(
+                                instance, tour, 3, predicate == "pp"
+                            ) is None
                             ok, detail = structural_checks(instance, tour, opt.tour, predicate)
                             ratio = Fraction(stats.final_cost, opt.cost)
                             assert certified and ok and ratio <= bound
@@ -467,23 +472,33 @@ class TestSweep:
                             )
         assert run_sweep(config).records == tuple(expected)
 
-    @pytest.mark.parametrize("label", ["not-locally-optimal", "ratio-bound"])
+    @pytest.mark.parametrize("label", ["ratio-bound"])
     def test_failed_plain_runs_are_violations(self, capsys, monkeypatch, label):
         # Each plain run fails under the label, the pp runs pass, and the sweep exits 1.
-        if label == "not-locally-optimal":
-
-            def certify(instance, tour, k):
-                return replace(certify_k_optimal(instance, tour, k), verdict="non-optimal")
-
-            monkeypatch.setattr(cli, "certify_k_optimal", certify)
-        else:
-            monkeypatch.setattr(cli, "BOUND_PLAIN", Fraction(1, 2))
+        monkeypatch.setattr(cli, "BOUND_PLAIN", Fraction(1, 2))
         grid = ["sweep", "--n-min", "6", "--n-max", "6", "--per-cell", "1", "--p", "0.5"]
         rc, lines = run(capsys, grid)
         assert rc == 1
         checks = [line.rsplit("checks=", 1)[1] for line in lines if line.startswith("run ")]
         assert checks == [label, label, "ok", "ok"]
         assert "violations=2" in lines
+
+    def test_sweep_runs_no_certificate(self, monkeypatch):
+        # Each run's certificate is the last scan of its descent: the sweep
+        # calls neither certifier nor find_improving.
+        config = SweepConfig(n_min=7, n_max=7, per_cell=3, p_values=(0.5,))
+        expected = run_sweep(config)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sweep ran a certificate")
+
+        for module, name in (
+            (cli, "certify_k_optimal"),
+            (cli, "certify_kpp_optimal"),
+            (moves, "find_improving"),
+        ):
+            monkeypatch.setattr(module, name, refuse)
+        assert run_sweep(config) == expected
 
     def test_workers_clamped_to_cpu_count(self, monkeypatch):
         pool_sizes = []
