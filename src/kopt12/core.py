@@ -242,10 +242,6 @@ class PathDecomposition:
     paths: tuple[tuple[int, ...], ...]
     whole_cycle: bool = False
 
-    @property
-    def zero_path_count(self) -> int:
-        return sum(1 for p in self.paths if len(p) == 1)
-
 
 def one_path_decomposition(instance: Instance, tour: Tour) -> PathDecomposition:
     """Split the tour at its cost-2 edges into maximal cost-1 segments."""

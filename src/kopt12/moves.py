@@ -19,23 +19,23 @@ same four endpoint patterns stay correct when two removed edges are
 adjacent (one segment degenerates to a single vertex); duplicates and
 impure patterns are filtered per removal tuple.
 
-find_improving and local_search run a vectorised scan instead of the
-generator.  It tabulates a score for every candidate by removed-edge
-positions: the gain under the plain predicate, and under ++ the gain
-combined with dz, the change in the number of isolated vertices, which
-depends only on the at most six endpoints of the removed edges.  The score
-sums one term per added edge, with each removed edge's own term folded into
-the added edge at its end 0.  A candidate is accepted when its score is at
-least 1 (gain >= 1, or under ++ also gain = 0 and dz < 0), and the scan
-returns the least accepted key: the move the generator would accept first.
-Keys order by leading position first, so the scan builds one lead row of
-n^2 entries at a time, in ascending order, and each lead row holds every
-key that leads with its position: the triples, and in the entries that
-name no triple the 2-moves and adjacent-pair triples.  The scan stops at
-the first row that holds an accepted candidate.  A descent step thus
-usually builds only the first rows, and a certificate scan, which visits
-every row, holds its n^2 tables and one row at a time.  Each row is
-searched by one argmax.
+find_improving and local_search run vectorised scans instead of the
+generator.  The blocked scan, of 3-moves, tabulates a score for every
+candidate by removed-edge positions: the gain under the plain predicate,
+and under ++ the gain combined with dz, the change in the number of
+isolated vertices, which depends only on the at most six endpoints of the
+removed edges.  The score sums one term per added edge, with each removed
+edge's own term folded into the added edge at its end 0.  A candidate is
+accepted when its score is at least 1 (gain >= 1, or under ++ also gain = 0
+and dz < 0), and the scan returns the least accepted key: the move the
+generator would accept first.  Keys order by leading position first, so
+the scan builds one lead row of n^2 entries at a time, in ascending order,
+and each lead row holds every key that leads with its position: the
+triples, and in the entries that name no triple the 2-moves and
+adjacent-pair triples.  The scan stops at the first row that holds an
+accepted candidate.  A descent step thus usually builds only the first
+rows, and a certificate scan, which visits every row, holds its n^2 tables
+and one row at a time.  Each row is searched by one argmax.
 
 Every scan starts with a gathered scan of the first _GATHER_MAX keys in
 key order, which is the whole neighborhood for k = 3 up to n = 13 and k = 2
@@ -55,20 +55,25 @@ stack of tours at once, one column each, and every scan is such a stack:
 _scan_keys gathers every row at once, and past the cap sends each row whose
 prefix misses on alone.
 
-Under the plain predicate a larger neighborhood may be scanned from the
-tour's l cost-2 edges instead (the anchored scan).  An accepted move gains
-h_r - h_a >= 1, its heavy removed edges less its heavy added ones, so it
-removes a heavy edge with a light added edge at it: the scan walks from
-each heavy edge along the cost-1 neighbour lists of Bentley (1992), as in
-the gain criterion of Lin & Kernighan (1973), in O(l d^2) candidates for
-light degree at most d, and never builds the (n+1)^2 position costs.  Each
-step takes whichever of the anchored and blocked scans an O(l) estimate of
-the walks finds cheaper, and always the anchored one when the blocked
-tables would pass the dense-table cap.  Past the gathered prefix a ++ scan
-of a tour with no isolated vertex is a plain scan: no move lowers a count
-of zero, so ++ accepts exactly the moves of gain >= 1.  The generator with
-is_improving_pp is the reference semantics, and the tests check every scan
-against it.
+A larger neighborhood may be scanned from the tour's l cost-2 edges instead
+(the anchored scan), under the plain predicate and for 2-moves under ++ as
+well.  An accepted move gains h_r - h_a >= 1, its heavy removed edges less
+its heavy added ones, so it removes a heavy edge with a light added edge at
+it: the scan walks from each heavy edge along the cost-1 neighbour lists of
+Bentley (1992), as in the gain criterion of Lin & Kernighan (1973), in
+O(l d^2) candidates for light degree at most d, and never builds the
+(n+1)^2 position costs.  A zero-gain 2-move that ++ accepts lowers the
+number of isolated vertices, so it removes a heavy edge at an isolated
+vertex and adds a light edge there, and the walks reach it too: every
+2-move scan is anchored.  A plain 3-move step takes whichever of the
+anchored and blocked scans an O(l) estimate of the walks finds cheaper, and
+always the anchored one when the blocked tables would pass the dense-table
+cap.  Past the gathered prefix a ++ scan of a tour with no isolated vertex
+is a plain scan: no move lowers a count of zero, so ++ accepts exactly the
+moves of gain >= 1.  The generator with is_improving_pp is the reference
+semantics, and the tests check every scan against it; they also keep a
+dense pair table, over the blocked scan's score terms, as the oracle of the
+anchored 2-move scan.
 
 Descents run on int arrays of tour orders, the array representation of
 Bentley (1992): each step takes the least accepted key from the scan and
@@ -268,10 +273,12 @@ def is_improving_pp(instance: Instance, tour: Tour, move: KMove) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Blocked neighborhood scan, for neighborhoods of more than _GATHER_MAX
-# candidates whose gathered prefix holds no accepted key: under ++, and under
-# the plain predicate when it is estimated cheaper than the anchored scan.  It
-# is the oracle the anchored scan is tested against.
+# Blocked 3-move scan, for neighborhoods of more than _GATHER_MAX
+# candidates whose gathered prefix holds no accepted key: under ++ on a tour
+# with isolated vertices, and under the plain predicate when it is estimated
+# cheaper than the anchored scan.  It is the oracle the anchored 3-move scan
+# is tested against; the dense pair table that the anchored 2-move scan is
+# tested against lives in the tests, over these score terms.
 #
 # Candidates are keyed by removed-edge positions: (i, j) for a pair and
 # (i, j, k, pattern id) for a triple, compared as tuples.  The least
@@ -296,9 +303,8 @@ def is_improving_pp(instance: Instance, tour: Tour, move: KMove) -> bool:
 # removes together get a large negative term, so no validity mask is built.
 #
 # The n^2 tables are built once per call: the pair table over (i, j), and
-# for k = 3 the table over (x, y) for the single pure reconnection of the
-# adjacent pair (x, x+1) plus the edge y.  For k = 2 one argmax over the
-# pair table finds the least key.  The four pattern tables over the pairwise
+# the table over (x, y) for the single pure reconnection of the adjacent
+# pair (x, x+1) plus the edge y.  The four pattern tables over the pairwise
 # non-adjacent triples (i, j, k) hold n^3 entries.  They are built one lead
 # row i of n^2 entries over (j, k) at a time, in ascending i.  The entries of
 # a row that name no triple take every pair and adjacent-pair key that leads
@@ -312,12 +318,11 @@ def is_improving_pp(instance: Instance, tour: Tour, move: KMove) -> bool:
 _REJECT = -1000
 # Score term tables by the removed-edge ends (ex, ey) their added edges join.
 _Tables = dict[tuple[int, int], np.ndarray]
-# Peak bytes of one scan per n^2 entry, by k, rounded up from tracemalloc:
-# k = 2 at n = 400 and 800: 7 (plain), 9.3 (++); k = 3 at n = 400 and 800
-# with only the tour's edges at cost 2: 16.3 (plain), 20.3 (++), and
-# certificates at n = 1,600: 15.0 (plain), 20.2 (++); family certificates
-# at n = 204 to 800: 14.2 (plain), 22.3 (++).
-_SCAN_BYTES_PER_ENTRY = {2: 10, 3: 24}
+# Peak bytes of one scan per n^2 entry, rounded up from tracemalloc: at
+# n = 400 and 800 with only the tour's edges at cost 2: 16.3 (plain), 20.3
+# (++), and certificates at n = 1,600: 15.0 (plain), 20.2 (++); family
+# certificates at n = 204 to 800: 14.2 (plain), 22.3 (++).
+_SCAN_BYTES_PER_ENTRY = 24
 
 
 def _position_costs(instance: Instance, order: tuple[int, ...] | np.ndarray) -> np.ndarray:
@@ -333,10 +338,8 @@ def _position_costs(instance: Instance, order: tuple[int, ...] | np.ndarray) -> 
     return instance.cost_matrix.take(o, axis=0).take(o, axis=1).astype(np.int16)
 
 
-def _score_terms(
-    A: np.ndarray, k: int, plusplus: bool
-) -> tuple[_Tables, np.ndarray | None]:
-    """The score term tables, and for k = 3 the adjacent-pair table.
+def _score_terms(A: np.ndarray, plusplus: bool) -> tuple[_Tables, np.ndarray]:
+    """The score term tables, and the adjacent-pair table.
 
     adjacent[x, y] is the score of the adjacent pair (x, x+1) plus edge y.
     """
@@ -355,7 +358,7 @@ def _score_terms(
         keep = (heavy_edge[idx - 1].astype(np.int16), heavy_edge[nxt].astype(np.int16))
         base += lost
     terms = {}
-    for a, b in ((0, 0), (1, 1)) if k == 2 else ((0, 0), (0, 1), (1, 0), (1, 1)):
+    for a, b in ((0, 0), (0, 1), (1, 0), (1, 1)):
         cost = A[a : a + n, b : b + n]
         t = -w * cost
         if plusplus:
@@ -365,8 +368,6 @@ def _score_terms(
         if b == 0:
             t += base
         terms[a, b] = t
-    if k == 2:
-        return terms, None
     # t[x] joins t[x+2]; t[x+1] joins t[y] and t[y+1].
     pair = w * (E + E[nxt] - A[idx, i2])
     if plusplus:
@@ -395,10 +396,11 @@ def _first_accepted(score: np.ndarray) -> int | None:
     return flat if ok.flat[flat] else None
 
 
-def _least_key(A: np.ndarray, k: int, plusplus: bool) -> tuple | None:
-    """Least accepted scan key on position costs A, or None when no move is accepted."""
+def _least_key(A: np.ndarray, plusplus: bool) -> tuple | None:
+    """Least accepted 3-move scan key on position costs A, or None when no
+    move is accepted."""
     n = len(A) - 1
-    terms, adjacent = _score_terms(A, k, plusplus)
+    terms, adjacent = _score_terms(A, plusplus)
     # The tables replace A: dropping it frees (n + 1)^2 entries before the
     # scan's largest temporaries are built, when the caller holds no copy.
     del A
@@ -411,9 +413,6 @@ def _least_key(A: np.ndarray, k: int, plusplus: bool) -> tuple | None:
         t += reject
     del reject
     pairs = terms[0, 0] + terms[1, 1]
-    if k == 2:
-        flat = _first_accepted(pairs)
-        return None if flat is None else divmod(flat, n)
     # The adjacent pair (x, x+1) needs y + 1 <= x - 1 or y >= x + 3 (cyclically).
     adjacent[idx[:, None], (idx[:, None] + (-1, 0, 1, 2)) % n] = _REJECT
     # Near a local optimum no pair or adjacent pair is accepted, and no row writes them.
@@ -636,7 +635,7 @@ def _stacked_costs(
 
 
 # ---------------------------------------------------------------------------
-# Anchored scan of the plain predicate.
+# Anchored scan: every move of the plain predicate, and 2-moves under ++.
 #
 # Every edge costs 1 + [heavy], so a move's gain is h_r - h_a, its heavy
 # removed edges less its heavy added ones, and an accepted move removes a
@@ -668,6 +667,19 @@ def _stacked_costs(
 # blocked scan.  Each candidate's gain is exact, and the accepted ones map
 # to their scan keys, of which the least is returned: the blocked scan's key.
 #
+# Under ++ a 2-move is also accepted at gain 0 when it lowers the number of
+# isolated vertices (vertices both of whose tour edges are heavy).  Only the
+# four ends of its removed edges change their edges, and a vertex stops being
+# isolated only by gaining a light added edge, so such a move removes a heavy
+# edge at an isolated vertex and adds a light edge there, and is one of the
+# 2-moves walked.  The walk leaves heavy x at its end w along a light edge to
+# v1, the end of x1 it enters, and u and v2 are the other ends of x and x1.
+# Such a move gains at least 0, and gain 0 means a light x1 and a heavy
+# added edge (u, v2).  Then u and v1 stay as they were, w stops being
+# isolated when the tour edge it keeps is heavy, and v2 ends up isolated
+# when the tour edge it keeps is heavy: the move lowers the count exactly
+# when w keeps a heavy tour edge and v2 a light one.
+#
 # Candidates are made and scored a chunk of at most _ANCHOR_CHUNK at a time
 # (one anchor or walk whose light edges pass that is a chunk of its own), so
 # a scan holds _ANCHOR_BYTES_PER_CANDIDATE bytes per candidate of one chunk.
@@ -679,12 +691,11 @@ _ANCHOR_CHUNK = 1 << 16
 # tracemalloc: 125 on the three-opt-lb certificate at n = 10,000, 141 to 195
 # from shuffled starts at n = 400 to 2,000, p = 0.005 to 0.3.
 _ANCHOR_BYTES_PER_CANDIDATE = 256
-# Blocked-scan entries that cost as much as one anchored candidate, by k:
-# the plain scan above _GATHER_MAX is anchored when its estimated candidates
+# Blocked-scan entries that cost as much as one anchored candidate: the plain
+# 3-move scan above _GATHER_MAX is anchored when its estimated candidates
 # times this are fewer than n^2.  Measured on shuffled-start descents at
-# n = 60 to 600: about 80 ns a candidate against 5 ns an entry for k = 2,
-# 130 ns against 33 ns for k = 3.
-_ANCHOR_COST = {2: 16, 3: 4}
+# n = 60 to 600: about 130 ns a candidate against 33 ns an entry.
+_ANCHOR_COST = 4
 # Key pattern id by a triple's adjacency kind (1: i and j adjacent, 2: j and
 # k adjacent, 4: the wrap pair, i = 0 and k = n - 1) and its pattern.  The
 # two removed edges of an adjacent pair share a vertex, so two patterns add
@@ -774,19 +785,21 @@ def _chunks(weights: np.ndarray) -> Iterator[slice]:
         lo = hi
 
 
-def _anchored_candidates(instance: Instance, order: np.ndarray, heavy: np.ndarray, k: int) -> float:
-    """Estimated candidates of the anchored scan, in O(l): the light edges at
-    the heavy edges' ends, times the walks each starts for k = 3."""
+def _anchored_candidates(instance: Instance, order: np.ndarray, heavy: np.ndarray) -> float:
+    """Estimated candidates of the anchored 3-move scan, in O(l): the light
+    edges at the heavy edges' ends, times the walks each starts."""
     indptr = instance.cost1_csr[0]
     x = np.flatnonzero(heavy)
     ends = order[np.concatenate((x, (x + 1) % len(order)))]
-    steps = int((indptr[ends + 1] - indptr[ends]).sum())
-    return steps if k == 2 else 4 * steps * (indptr[-1] / len(order))
+    return 4 * int((indptr[ends + 1] - indptr[ends]).sum()) * (indptr[-1] / len(order))
 
 
-def _anchored_key(instance: Instance, order: np.ndarray, heavy: np.ndarray, k: int) -> tuple | None:
-    """Least accepted plain scan key of the tour order, or None, from walks
-    that start at its heavy edges (heavy from _order_heavy)."""
+def _anchored_key(
+    instance: Instance, order: np.ndarray, heavy: np.ndarray, k: int, plusplus: bool = False
+) -> tuple | None:
+    """Least accepted scan key of the tour order, or None, from walks that
+    start at its heavy edges (heavy from _order_heavy), under the plain
+    predicate or, for k = 2, under ++."""
     n = instance.n
     hp = np.flatnonzero(heavy)
     if not hp.size:
@@ -816,7 +829,12 @@ def _anchored_key(instance: Instance, order: np.ndarray, heavy: np.ndarray, k: i
         u = o2[x + 1 - e]  # where x is entered
         # Costs of x and x1 less that of the light edge joining them.
         g1 = heavy[x] + heavy[x1] + 1
-        pair = (a1 == e) & ((x1 - x + 1) % n > 2) & (g1 > cost[v2, u])
+        accepted = g1 > cost[v2, u]
+        if plusplus:
+            # Or, at gain 0, w keeps a heavy tour edge and v2 a light one.
+            at_w = heavy.take(x - 1 + 2 * e, mode="wrap")
+            accepted |= at_w > heavy.take(x1 + 1 - 2 * a1, mode="wrap")
+        pair = (a1 == e) & ((x1 - x + 1) % n > 2) & accepted
         lo, hi = np.minimum(x, x1)[pair], np.maximum(x, x1)[pair]
         best = _least_code(best, _key_code(n, lo, hi, 0, 0))
         if k == 2:
@@ -867,9 +885,10 @@ def _scan_keys(
     One stacked gathered scan of the first _GATHER_MAX keys, the whole
     neighborhood up to the cap, finds every row's key that they hold.  Past
     the cap each row whose prefix holds none goes on alone: ++ first reduces
-    to the plain predicate on a tour with no isolated vertex, then the
-    blocked scan runs, or under the plain predicate the anchored one when it
-    is estimated cheaper or the blocked scan would pass the dense-table cap."""
+    to the plain predicate on a tour with no isolated vertex, then a 2-move
+    scan is anchored, and a 3-move scan is blocked, or under the plain
+    predicate anchored when that is estimated cheaper or the blocked scan
+    would pass the dense-table cap."""
     n = orders.shape[1]
     tables = _gather_tables(n, k)
     keys = _gathered_key(tables, _stacked_costs(costs, orders, rows, tables), plusplus)
@@ -882,30 +901,32 @@ def _scan_keys(
         heavy = _order_heavy(instance, order)
         # With no isolated vertex no move lowers their count: ++ accepts what plain does.
         pp = plusplus and bool(_isolated(heavy).any())
-        if not pp and (
-            _blocked_over_cap(n, k)
-            or _ANCHOR_COST[k] * _anchored_candidates(instance, order, heavy, k) < n * n
-        ):
-            keys[at] = _anchored_key(instance, order, heavy, k)
+        if k == 2 or (not pp and (
+            _blocked_over_cap(n)
+            or _ANCHOR_COST * _anchored_candidates(instance, order, heavy) < n * n
+        )):
+            keys[at] = _anchored_key(instance, order, heavy, k, pp)
         else:
-            keys[at] = _least_key(_position_costs(instance, order), k, pp)
+            keys[at] = _least_key(_position_costs(instance, order), pp)
     return keys
 
 
-def _blocked_over_cap(n: int, k: int) -> bool:
-    """Whether the blocked k-move scan on n vertices would pass the dense-table cap."""
-    return n * n * _SCAN_BYTES_PER_ENTRY[k] > DENSE_MAX_BYTES
+def _blocked_over_cap(n: int) -> bool:
+    """Whether the blocked 3-move scan on n vertices would pass the dense-table cap."""
+    return n * n * _SCAN_BYTES_PER_ENTRY > DENSE_MAX_BYTES
 
 
 def _check_scan(n: int, k: int, plusplus: bool) -> None:
-    """Refuse a k that names no neighborhood on n vertices, and a ++ scan
-    whose tables would pass the dense-table cap, before any table is built.
+    """Refuse a k that names no neighborhood on n vertices, and a 3-move ++
+    scan whose blocked tables would pass the dense-table cap, before any
+    table is built.
 
-    A plain scan whose blocked tables would pass it is anchored instead.
+    A plain 3-move scan whose blocked tables would pass it is anchored
+    instead, and every 2-move scan is anchored.
     """
     _require_enumerable(n, k)
-    if plusplus:
-        check_dense_size(n, _SCAN_BYTES_PER_ENTRY[k], f"the {k}-move scan")
+    if plusplus and k == 3:
+        check_dense_size(n, _SCAN_BYTES_PER_ENTRY, "the 3-move scan")
 
 
 def find_improving(

@@ -9,14 +9,20 @@ The named fixtures are small instances with hand-checked structure:
   * endpoint_instance: two 1-paths whose endpoints are a cost-1 pair,
   * constellation_instance: the identity tour contains the six-vertex
     configuration that forces an improving 3-move.
+
+default_sweep runs the default sweep once per session for every test that
+reads its runs.
 """
 
 from __future__ import annotations
 
+import time
+
 import pytest
 from hypothesis import strategies as st
 
-from kopt12 import Instance, Tour, identity_tour
+from kopt12 import Instance, SweepConfig, Tour, identity_tour, run_sweep, structural_checks
+from kopt12 import cli
 
 
 @st.composite
@@ -64,3 +70,22 @@ def endpoint_instance() -> Instance:
 @pytest.fixture
 def constellation_instance() -> Instance:
     return Instance.from_pairs(8, [(0, 2), (3, 5)])
+
+
+@pytest.fixture(scope="session")
+def default_sweep():
+    """The default sweep, its wall time, and each run's (instance, final
+    tour, optimal tour, predicate) in record order, recorded through
+    cli.structural_checks."""
+    runs = []
+
+    def recording(instance, tour, optimal_tour, predicate):
+        runs.append((instance, tour, optimal_tour, predicate))
+        return structural_checks(instance, tour, optimal_tour, predicate)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "structural_checks", recording)
+        start = time.perf_counter()
+        result = run_sweep(SweepConfig())
+        elapsed = time.perf_counter() - start
+    return result, elapsed, runs

@@ -37,8 +37,6 @@ from kopt12 import (
     move_gain,
     random_instance,
     ratio_upper_bound,
-    run_sweep,
-    structural_checks,
     tour_cost,
 )
 from kopt12 import cli
@@ -56,21 +54,11 @@ def _verdict(tag: str, problems: list[str], detail: str) -> None:
 
 
 @pytest.fixture(scope="module")
-def sweep_outcome():
+def sweep_outcome(default_sweep):
     """The default sweep, its wall time, and each run's (instance, final
-    tour, predicate) in record order, recorded through structural_checks."""
-    tours = []
-
-    def recording(instance, tour, optimal_tour, predicate):
-        tours.append((instance, tour, predicate))
-        return structural_checks(instance, tour, optimal_tour, predicate)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cli, "structural_checks", recording)
-        start = time.perf_counter()
-        result = run_sweep(SweepConfig())
-        elapsed = time.perf_counter() - start
-    return result, elapsed, tours
+    tour, predicate) in record order, from the session's one sweep."""
+    result, elapsed, runs = default_sweep
+    return result, elapsed, [(instance, tour, predicate) for instance, tour, _, predicate in runs]
 
 
 def test_criterion_1_two_opt_lower_bound_family():

@@ -268,17 +268,28 @@ class TestDenseCap:
         tour.write_text(f"tour {n}\n" + " ".join(map(str, range(n))) + "\n", encoding="utf-8")
         return ["certify", "--instance", str(inst), "--tour", str(tour), "--k", str(k)]
 
-    # The blocked scan's cap binds the ++ predicate only: a plain scan past
-    # it is anchored on the tour's cost-2 edges (see CERTIFY_GOLDEN).
+    # The blocked scan's cap binds the 3-move ++ scan only: a plain 3-move
+    # scan past it, and every 2-move scan, is anchored on the tour's cost-2
+    # edges (see CERTIFY_GOLDEN).
 
-    def test_certify_scan_over_cap(self, capsys, tmp_path):
-        # The 144 MB cost matrix fits under the cap; the 2-move scan tables do not.
-        err = self.refused(capsys, self.certify_argv(tmp_path, 12000, 2) + ["--plus-plus"])
-        assert err.startswith("error: the 2-move scan on 12000 vertices needs about 1.3 GiB")
+    def test_certify_pp_pair_scan_past_the_cap_runs_anchored(self, capsys, tmp_path):
+        # The identity tour's one cost-1 edge is a tour edge, so every other
+        # vertex is isolated and no 2-move is accepted.  The scan holds one
+        # chunk of anchored candidates beside the 144 MB cost matrix.
+        n = 12000
+        tracemalloc.start()
+        try:
+            rc, lines = run(capsys, self.certify_argv(tmp_path, n, 2) + ["--plus-plus"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert lines[:3] == ["verdict=optimal", "k=2", "predicate=pp"]
+        assert peak < n * n + moves._ANCHOR_CHUNK * moves._ANCHOR_BYTES_PER_CANDIDATE
 
     def test_certify_3_scan_one_over_cap(self, capsys, tmp_path):
         # 6,688 vertices is the largest 3-move ++ scan the cap admits.
-        check_dense_size(6688, moves._SCAN_BYTES_PER_ENTRY[3])
+        check_dense_size(6688, moves._SCAN_BYTES_PER_ENTRY)
         err = self.refused(capsys, self.certify_argv(tmp_path, 6689, 3) + ["--plus-plus"])
         assert err.startswith("error: the 3-move scan on 6689 vertices needs about 1.0 GiB")
         assert err.count("\n") == 1

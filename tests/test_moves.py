@@ -38,7 +38,6 @@ from kopt12 import (
     format_kmove,
     gen_three_opt_lb,
     gen_three_opt_pp_lb,
-    gen_two_opt_lb,
     identity_tour,
     is_improving_pp,
     local_search,
@@ -55,6 +54,7 @@ from kopt12.moves import (
     _PATTERN_ENDS,
     _anchored_candidates,
     _anchored_key,
+    _first_accepted,
     _gather_tables,
     _gathered_key,
     _keyed_kmoves,
@@ -261,15 +261,35 @@ def _last_gathered_key(n, k):
     return key
 
 
-def _anchored(instance, order, k):
+def _anchored(instance, order, k, plusplus=False):
     """The anchored scan's key for a tour order (any sequence)."""
     order = np.array(order, dtype=np.intp)
-    return _anchored_key(instance, order, _order_heavy(instance, order), k)
+    return _anchored_key(instance, order, _order_heavy(instance, order), k, plusplus)
+
+
+def _pair_key(A, plusplus):
+    """The dense pair scan: the least accepted 2-move key on position costs
+    A, or None, from one table of the blocked scan's pair scores."""
+    n = len(A) - 1
+    terms, _ = _score_terms(A, plusplus)
+    # Removed positions x < y must be at least two apart on the cycle.
+    idx = np.arange(n)
+    named = np.less_equal.outer(idx, idx - 2)
+    named[0, n - 1] = False
+    flat = _first_accepted(np.where(named, terms[0, 0] + terms[1, 1], moves._REJECT))
+    return None if flat is None else divmod(flat, n)
+
+
+def _dense_key(instance, order, k, plusplus):
+    """The least accepted key by dense tables over the tour order: the pair
+    scan for k = 2, the blocked scan for k = 3."""
+    A = _position_costs(instance, order)
+    return _pair_key(A, plusplus) if k == 2 else _least_key(A, plusplus)
 
 
 def _assert_scans_match(instance, tour, k, plusplus):
     """Check find_improving, the dense scan, the gather and, under the plain
-    predicate, the anchored scan against the oracle.
+    predicate or for k = 2, the anchored scan against the oracle.
 
     find_improving takes one of the paths by neighborhood size and tour, so
     each is called directly; each must return the dense scan's key, except
@@ -279,12 +299,12 @@ def _assert_scans_match(instance, tour, k, plusplus):
     expected = find_improving_by_enumeration(instance, tour, k, plusplus)
     assert find_improving(instance, tour, k, plusplus) == expected
     bare = None if expected is None else replace(expected, gain=None)
-    key = _least_key(_position_costs(instance, tour.order), k, plusplus)
+    key = _dense_key(instance, tour.order, k, plusplus)
     assert (None if key is None else _move_from_key(tour, key)) == bare
     in_prefix = key is not None and key <= _last_gathered_key(instance.n, k)
     assert _gathered(instance, tour.order, k, plusplus) == (key if in_prefix else None)
-    if not plusplus:
-        assert _anchored(instance, tour.order, k) == key
+    if not plusplus or k == 2:
+        assert _anchored(instance, tour.order, k, plusplus) == key
     return expected
 
 
@@ -573,16 +593,16 @@ def test_one_row_blocks_match_enumeration_along_descents(k, plusplus):
 
 
 # ---------------------------------------------------------------------------
-# The anchored plain scan against the blocked scan, the gather tables and the
+# The anchored scan against the dense scans, the gather tables and the
 # enumeration oracle.
 # ---------------------------------------------------------------------------
 
 
-def _blocked_descent(instance, order, k, plusplus=False):
-    """Yield (order, blocked key) at every step of a descent, the last with
+def _dense_descent(instance, order, k, plusplus=False):
+    """Yield (order, dense key) at every step of a descent, the last with
     key None."""
     while True:
-        key = _least_key(_position_costs(instance, order), k, plusplus)
+        key = _dense_key(instance, order, k, plusplus)
         yield order, key
         if key is None:
             return
@@ -591,11 +611,11 @@ def _blocked_descent(instance, order, k, plusplus=False):
 
 @pytest.mark.parametrize("k", [2, 3])
 def test_anchored_scan_matches_blocked_along_plain_descents(k):
-    # Shuffled starts have cost-2 edges at nearly every position, so the
-    # selection rule takes the blocked scan first and the anchored one by the
-    # end; both scans, and _scan_keys, are compared at every step either way.
-    # Past the gather cap the gathered prefix both holds the key and misses
-    # it.
+    # Shuffled starts have cost-2 edges at nearly every position, so for
+    # k = 3 the selection rule takes the blocked scan first and the anchored
+    # one by the end; the dense and anchored scans, and _scan_keys, are
+    # compared at every step either way.  Past the gather cap the gathered
+    # prefix both holds the key and misses it.
     sides, prefix = set(), set()
     cases = [(n, p) for n in (14, 20, 31, 47, 64) for p in (3 / n, 6 / n, 0.15, 0.4)]
     cases += [(100, 0.06), (140, 0.04), (200, 0.025)]
@@ -603,14 +623,37 @@ def test_anchored_scan_matches_blocked_along_plain_descents(k):
         seed = n * 1000 + int(p * 1000) + k
         instance = random_instance(n, p, seed)
         start = np.array(_shuffled_tour(n, seed).order, dtype=np.intp)
-        for order, key in _blocked_descent(instance, start, k):
+        for order, key in _dense_descent(instance, start, k):
             heavy = _order_heavy(instance, order)
             assert _anchored_key(instance, order, heavy, k) == key, (n, p, order.tolist())
             assert _scanned(instance, order, k, False) == key, (n, p, order.tolist())
-            sides.add(_ANCHOR_COST[k] * _anchored_candidates(instance, order, heavy, k) < n * n)
+            if k == 3:
+                sides.add(_ANCHOR_COST * _anchored_candidates(instance, order, heavy) < n * n)
             if neighborhood_size(n, k) > moves._GATHER_MAX and key is not None:
                 prefix.add(_gathered(instance, order, k, False) == key)
-    assert sides == prefix == {False, True}
+    assert prefix == {False, True}
+    assert sides == ({False, True} if k == 3 else set())
+
+
+@pytest.mark.parametrize("plusplus", [False, True])
+def test_pair_scan_matches_dense_oracle_along_descents(plusplus):
+    # Past the gather cap every 2-move scan that misses the gathered prefix
+    # is anchored; at every step of descents from shuffled starts it returns
+    # the dense pair scan's key, under ++ zero-gain merges among them.
+    steps = merging = 0
+    for n in range(47, 201, 9):
+        for p in (3 / n, 6 / n, 0.15):
+            seed = n * 1000 + int(p * 1000) + plusplus
+            instance = random_instance(n, p, seed)
+            start = np.array(_shuffled_tour(n, seed).order, dtype=np.intp)
+            for order, key in _dense_descent(instance, start, 2, plusplus):
+                assert _scanned(instance, order, 2, plusplus) == key, (n, p, order.tolist())
+                steps += 1
+                if plusplus and key is not None:
+                    tour = Tour(tuple(order.tolist()))
+                    merging += move_gain(instance, tour, _move_from_key(tour, key)) == 0
+    assert steps >= 5000
+    assert not plusplus or merging > 500
 
 
 def _random_key(rng, n, k):
@@ -697,7 +740,7 @@ def test_anchored_certificate_within_byte_budget():
     # n = 10,000: the blocked scan would need 2.2 GiB, past the cap.
     family = gen_three_opt_lb(1250)
     instance, tour = family.instance, family.tour
-    assert moves._blocked_over_cap(instance.n, 3)
+    assert moves._blocked_over_cap(instance.n)
     instance.cost1_csr  # cached, so only the scan is measured
     tracemalloc.start()
     try:
@@ -874,7 +917,7 @@ def test_scan_peak_within_byte_budget(plusplus, s):
             # in the gathered prefix, and the ++ family's tour has no
             # isolated vertex, so its certificate takes the plain scan.
             assert s is None or count_zero_paths(instance, tour) == 0
-            key = _least_key(_position_costs(instance, tour.order), 3, plusplus)
+            key = _least_key(_position_costs(instance, tour.order), plusplus)
             return "optimal" if key is None else "non-optimal"
         return certify_k_optimal(instance, tour, 3).verdict
 
@@ -886,7 +929,7 @@ def test_scan_peak_within_byte_budget(plusplus, s):
     finally:
         tracemalloc.stop()
     assert found == ("non-optimal" if s is None else "optimal")
-    assert peak <= moves._SCAN_BYTES_PER_ENTRY[3] * instance.n**2
+    assert peak <= moves._SCAN_BYTES_PER_ENTRY * instance.n**2
 
 
 @pytest.mark.parametrize("plusplus", [False, True])
@@ -906,7 +949,7 @@ def test_scan_peak_below_n_256_holds_one_row(plusplus):
     instance.cost_matrix  # cached, so only the scan is measured
     tracemalloc.start()
     try:
-        key = _least_key(_position_costs(instance, tour.order), 3, plusplus)
+        key = _least_key(_position_costs(instance, tour.order), plusplus)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -914,21 +957,68 @@ def test_scan_peak_below_n_256_holds_one_row(plusplus):
     assert peak <= 44 * n**2
 
 
-@pytest.mark.parametrize("plusplus, per_entry", [(False, 8), (True, 10)])
-def test_pair_scan_peak_within_byte_budget(plusplus, per_entry):
-    # Plain peaks at 7 bytes per n^2 entry only if the scan drops the
-    # position costs once their term tables are built; ++ peaks at 9.3.
-    family = gen_two_opt_lb(400)
-    instance, tour = family.instance, family.tour
-    certify = certify_kpp_optimal if plusplus else certify_k_optimal
-    instance.cost_matrix  # cached, so only the scan is measured
+def _lone_instance(n, p, seed, lone):
+    """random_instance(n, p, seed) less every cost-1 edge at vertices below
+    lone, which stay isolated in every tour."""
+    indptr, light = random_instance(n, p, seed).cost1_csr
+    pairs = [(u, v) for u in range(lone, n) for v in light[indptr[u] : indptr[u + 1]].tolist()]
+    return Instance.from_pairs(n, [(u, v) for u, v in pairs if u < v])
+
+
+def test_pp_pair_certificate_within_chunk_budget():
+    # A 2-Opt++ local optimum with isolated vertices: its certificate walks
+    # every anchor past the gathered prefix, and holds no n^2 table.
+    instance = _lone_instance(300, 0.05, 3, 3)
+    tour, _ = local_search(instance, k=2, plusplus=True, seed=1)
+    assert count_zero_paths(instance, tour) > 0
+    instance.cost_matrix, instance.cost1_csr  # cached, so only the scan is measured
     tracemalloc.start()
     try:
-        certify(instance, tour, 2)
+        cert = certify_kpp_optimal(instance, tour, 2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= per_entry * instance.n**2 <= moves._SCAN_BYTES_PER_ENTRY[2] * instance.n**2
+    assert cert.verdict == "optimal"
+    assert peak <= moves._ANCHOR_BYTES_PER_CANDIDATE * moves._ANCHOR_CHUNK
+
+
+@pytest.mark.parametrize("plusplus", [False, True])
+def test_pair_scans_build_no_dense_table(monkeypatch, plusplus):
+    # Past the gather cap every 2-move scan is anchored, on tours with and
+    # without isolated vertices, so neither the position costs nor the
+    # blocked scan is reached.
+    def refuse(*args):
+        raise AssertionError("a dense table was built")
+
+    monkeypatch.setattr(moves, "_least_key", refuse)
+    monkeypatch.setattr(moves, "_position_costs", refuse)
+    for n in (47, 120):
+        instance = _lone_instance(n, 6 / n, n, 2)
+        tour, stats = local_search(instance, k=2, plusplus=plusplus, seed=n)
+        assert stats.iterations > 1 and count_zero_paths(instance, tour) > 0
+        assert find_improving(instance, tour, 2, plusplus) is None
+        assert find_improving(instance, _shuffled_tour(n, n), 2, plusplus) is not None
+
+
+@pytest.mark.parametrize("n", [48, 56, 64])
+def test_pp_pair_scan_matches_enumeration_near_local_optima(n):
+    # A 2-Opt++ local optimum and tours one random 2-move from it, with and
+    # without isolated vertices, past the gather cap: the first accepted move
+    # may be a zero-gain merge anywhere in the neighborhood.
+    rng = random.Random(n)
+    seen = set()
+    for seed, p in enumerate((3 / n, 5 / n, 0.15), n * 10):
+        instance = random_instance(n, p, seed)
+        optimum, _ = local_search(instance, k=2, plusplus=True, seed=seed)
+        tours = [optimum] + [
+            apply_move(optimum, _move_from_key(optimum, _random_key(rng, n, 2))) for _ in range(6)
+        ]
+        for tour in tours:
+            expected = find_improving_by_enumeration(instance, tour, 2, plusplus=True)
+            assert find_improving(instance, tour, 2, plusplus=True) == expected
+            gain = None if expected is None else expected.gain
+            seen.add((count_zero_paths(instance, tour) > 0, gain))
+    assert {(True, None), (True, 0), (True, 1)} <= seen
 
 
 @pytest.mark.parametrize("plusplus", [False, True])
@@ -953,13 +1043,13 @@ def test_multi_block_scan_matches_enumeration(n, plusplus):
 def test_pp_scan_matches_enumeration_on_merging_family():
     family = gen_three_opt_pp_lb(6)
     instance, tour = family.instance, family.tour
-    # The tour has no isolated vertex, so find_improving takes the plain scan
-    # for k = 3: the blocked ++ scan is called directly.
+    # The tour has no isolated vertex, so find_improving takes the plain scan:
+    # the dense ++ scans are called directly.
     assert count_zero_paths(instance, tour) == 0
     for k in (2, 3):
         assert find_improving(instance, tour, k, plusplus=True) is None
         assert find_improving_by_enumeration(instance, tour, k, plusplus=True) is None
-        assert _least_key(_position_costs(instance, tour.order), k, True) is None
+        assert _dense_key(instance, tour.order, k, True) is None
     order = list(tour.order)
     order[5], order[20] = order[20], order[5]
     perturbed = Tour(tuple(order))
@@ -986,7 +1076,7 @@ def test_pp_scan_matches_blocked_along_pp_descents(k):
         seed = n * 1000 + int(p * 1000) + k
         instance = random_instance(n, p, seed)
         start = np.array(_shuffled_tour(n, seed).order, dtype=np.intp)
-        for order, key in _blocked_descent(instance, start, k, True):
+        for order, key in _dense_descent(instance, start, k, True):
             assert _scanned(instance, order, k, True) == key, (n, p, order.tolist())
             if neighborhood_size(n, k) > moves._GATHER_MAX:
                 tour = Tour(tuple(order.tolist()))
@@ -1020,7 +1110,7 @@ def test_pp_certificate_without_isolated_vertices_skips_the_blocked_scan(monkeyp
     family = gen_three_opt_pp_lb(50)
     assert count_zero_paths(family.instance, family.tour) == 0
 
-    def refuse(A, k, plusplus):
+    def refuse(A, plusplus):
         raise AssertionError("the blocked scan ran")
 
     monkeypatch.setattr(moves, "_least_key", refuse)
@@ -1030,7 +1120,7 @@ def test_pp_certificate_without_isolated_vertices_skips_the_blocked_scan(monkeyp
 def _score_by_key(instance, tour, plusplus):
     """Tabulated score of every k=3 candidate, by scan key."""
     n = instance.n
-    terms, adjacent = _score_terms(_position_costs(instance, tour.order), 3, plusplus)
+    terms, adjacent = _score_terms(_position_costs(instance, tour.order), plusplus)
     pair = terms[0, 0] + terms[1, 1]
     patterns = [np.stack([_triple_row(terms, ends, i) for i in range(n)]) for ends in _PATTERN_ENDS]
     out = {}
@@ -1110,7 +1200,7 @@ def test_dz_tables_match_tour_rebuild():
 def test_count_zero_paths_matches_decomposition(pair):
     instance, tour = pair
     dec = one_path_decomposition(instance, tour)
-    assert count_zero_paths(instance, tour) == dec.zero_path_count
+    assert count_zero_paths(instance, tour) == sum(len(path) == 1 for path in dec.paths)
 
 
 @given(instance_tour_pairs(min_n=4, max_n=9))

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from kopt12 import (
     Instance,
     InvalidArgumentError,
-    SweepConfig,
     Tour,
     check_counter_properties,
     distribute_counters,
@@ -31,7 +30,6 @@ from kopt12 import (
     local_search,
     one_path_decomposition,
     random_instance,
-    run_sweep,
     structural_checks,
 )
 from kopt12 import cli, moves
@@ -126,17 +124,10 @@ def _three_move(rng: random.Random, tour: Tour) -> Tour:
     return Tour(rng.choice(moved))
 
 
-def test_default_sweep_tours_match_the_references(monkeypatch):
-    checked = []
-
-    def recording(instance, tour, optimal_tour, predicate):
-        checked.append((instance, tour, optimal_tour))
-        return structural_checks(instance, tour, optimal_tour, predicate)
-
-    monkeypatch.setattr(cli, "structural_checks", recording)
-    result = run_sweep(SweepConfig())
+def test_default_sweep_tours_match_the_references(default_sweep):
+    result, _, checked = default_sweep
     assert len(checked) == sum(r.certified for r in result.records) == 2016
-    for instance, tour, optimal_tour in checked:
+    for instance, tour, optimal_tour, _ in checked:
         assert same_witnesses(instance, tour, optimal_tour) == {
             "constellation": None,
             "endpoint-pairs": [],
