@@ -38,6 +38,7 @@ from kopt12 import (
     format_kmove,
     gen_three_opt_lb,
     gen_three_opt_pp_lb,
+    gen_two_opt_lb,
     identity_tour,
     is_improving_pp,
     local_search,
@@ -963,6 +964,25 @@ def _lone_instance(n, p, seed, lone):
     indptr, light = random_instance(n, p, seed).cost1_csr
     pairs = [(u, v) for u in range(lone, n) for v in light[indptr[u] : indptr[u + 1]].tolist()]
     return Instance.from_pairs(n, [(u, v) for u, v in pairs if u < v])
+
+
+@pytest.mark.parametrize("plusplus, per_entry", [(False, 8), (True, 10)])
+def test_pair_scan_peak_within_byte_budget(plusplus, per_entry):
+    # The anchored pair scan holds no n^2 table: at n = 400 the plain
+    # certificate peaks at 5.0 bytes per n^2 entry and the ++ one at 0.6,
+    # under both the dense tables' old budgets and one chunk's budget.
+    family = gen_two_opt_lb(400)
+    instance, tour = family.instance, family.tour
+    certify = certify_kpp_optimal if plusplus else certify_k_optimal
+    instance.cost_matrix, instance.cost1_csr  # cached, so only the scan is measured
+    tracemalloc.start()
+    try:
+        certify(instance, tour, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    budget = moves._ANCHOR_BYTES_PER_CANDIDATE * moves._ANCHOR_CHUNK
+    assert peak <= per_entry * instance.n**2 <= budget
 
 
 def test_pp_pair_certificate_within_chunk_budget():
