@@ -31,8 +31,9 @@ from .core import (
     Instance,
     PathDecomposition,
     Tour,
+    _decompose,
+    _heavy_edges,
     canonical_edge,
-    one_path_decomposition,
     tour_cost,
 )
 from .errors import InvalidArgumentError
@@ -162,13 +163,12 @@ def _neighbours(tour: Tour) -> _Nbrs:
     return {v: (o[i - 1], o[(i + 1) % len(o)]) for i, v in enumerate(o)}
 
 
-def distribute_counters(instance: Instance, tour: Tour, optimal_tour: Tour) -> CounterLedger:
-    """Place counters as described in the module docstring."""
-    dec = one_path_decomposition(instance, tour)
-    f = tour_cost(instance, optimal_tour) - instance.n
+def _ledger(instance: Instance, tour: Tour, heavy, nbr: _Nbrs, f: int) -> CounterLedger:
+    """The counter ledger of a tour whose heavy mask (see core._order_heavy)
+    is given, against a reference with tour neighbours nbr and f cost-2 edges."""
+    dec = _decompose(tour.order, heavy)
     # Each 1-path is followed by exactly one cost-2 tour edge.
     l = len(dec.paths)
-    nbr = _neighbours(optimal_tour)
     counters: list[Counter] = []
     for pid, path in enumerate(dec.paths):
         kinds = ("good", "good") if len(path) == 1 else ("bad",)
@@ -184,6 +184,14 @@ def distribute_counters(instance: Instance, tour: Tour, optimal_tour: Tour) -> C
         tour=tour,
         decomposition=dec,
     )
+
+
+def distribute_counters(instance: Instance, tour: Tour, optimal_tour: Tour) -> CounterLedger:
+    """Place counters as described in the module docstring: _ledger of the
+    tour's heavy mask against the optimal tour's neighbours and cost."""
+    heavy = _heavy_edges(instance, tour)
+    f = tour_cost(instance, optimal_tour) - instance.n
+    return _ledger(instance, tour, heavy, _neighbours(optimal_tour), f)
 
 
 def _property_1(ledger: CounterLedger) -> tuple | None:

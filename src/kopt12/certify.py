@@ -55,6 +55,32 @@ def certify_kpp_optimal(instance: Instance, tour: Tour, k: int) -> Certificate:
     return _certify(instance, tour, k, plusplus=True)
 
 
+def _constellation(
+    instance: Instance, order: tuple[int, ...], heavy
+) -> tuple[int, int, int, int, int, int] | None:
+    """find_forbidden_constellation of a tour order whose heavy mask (see
+    core._order_heavy) is given."""
+    heavy = heavy.tolist()
+    n = instance.n
+    pos = {x: i for i, x in enumerate(order)}
+    nbrs = instance.cost1_neighbors
+    for pu in range(n):
+        if not heavy[pu]:
+            continue
+        found = [
+            (off, s)
+            for a in nbrs[order[pu]]
+            for s in [(pos[a] - pu) % n]
+            for v in nbrs[order[(pu + s + 1) % n]]
+            for off in [(pos[v] - pu) % n]
+            if off - s >= 2 and heavy[pos[v] - 1]
+        ]
+        if found:
+            off, s = min(found)
+            return tuple(order[(pu + i) % n] for i in (1, off - 1, 0, off, s, s + 1))
+    return None
+
+
 def find_forbidden_constellation(
     instance: Instance, tour: Tour
 ) -> tuple[int, int, int, int, int, int] | None:
@@ -66,30 +92,12 @@ def find_forbidden_constellation(
     the side of p.  All six vertices are distinct.  A 3-optimal tour
     cannot contain one.
 
-    From each heavy edge (u, p) at position pu, ascending, the walk steps to
-    each cost-1 neighbour a of u, to b after a, and to each cost-1 neighbour
-    v of b with a heavy edge into v; the least offsets (v's, a's) win.
+    _constellation walks the tour's order and heavy mask.  From each heavy
+    edge (u, p) at position pu, ascending, the walk steps to each cost-1
+    neighbour a of u, to b after a, and to each cost-1 neighbour v of b with
+    a heavy edge into v; the least offsets (v's, a's) win.
     """
-    heavy = _heavy_edges(instance, tour).tolist()
-    n = instance.n
-    o = tour.order
-    pos = {x: i for i, x in enumerate(o)}
-    nbrs = instance.cost1_neighbors
-    for pu in range(n):
-        if not heavy[pu]:
-            continue
-        found = [
-            (off, s)
-            for a in nbrs[o[pu]]
-            for s in [(pos[a] - pu) % n]
-            for v in nbrs[o[(pu + s + 1) % n]]
-            for off in [(pos[v] - pu) % n]
-            if off - s >= 2 and heavy[pos[v] - 1]
-        ]
-        if found:
-            off, s = min(found)
-            return tuple(o[(pu + i) % n] for i in (1, off - 1, 0, off, s, s + 1))
-    return None
+    return _constellation(instance, tour.order, _heavy_edges(instance, tour))
 
 
 def endpoint_pair_violations(instance: Instance, dec: PathDecomposition) -> list[tuple[int, int]]:

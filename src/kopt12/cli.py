@@ -15,7 +15,6 @@ or input errors.
 from __future__ import annotations
 
 import argparse
-import itertools
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -23,9 +22,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
+
 from .analysis import (
     BOUND_PLAIN,
     BOUND_PP,
+    CounterLedger,
+    _ledger,
+    _neighbours,
     check_counter_properties,
     count_bound_check,
     distribute_counters,
@@ -36,13 +40,13 @@ from .analysis import (
     ratio_report,
 )
 from .certify import (
+    _constellation,
     certify_k_optimal,
     certify_kpp_optimal,
     endpoint_pair_violations,
-    find_forbidden_constellation,
 )
 from .constructions import FAMILIES, FamilyOutput, random_instance
-from .core import Instance, Tour, tour_cost
+from .core import Instance, Tour, _heavy_edges, tour_cost
 from .errors import InvalidArgumentError, Kopt12Error
 from .exact import check_held_karp_size, held_karp
 from .fileio import read_instance, read_tour, write_instance, write_tour
@@ -92,25 +96,52 @@ def structural_checks(
     """Validate everything certified local optima must satisfy.
 
     Returns (ok, label of the first failed check).  The pp predicate adds
-    its per-path counter limits, which bound the counters by 2h.
+    its per-path counter limits, which bound the counters by 2h.  It is
+    _check_runs of the one run, the sweep's path.
     """
     if predicate not in ("plain", "pp"):
         raise InvalidArgumentError(f"unknown predicate {predicate!r}")
-    ledger = distribute_counters(instance, tour, optimal_tour)
+    heavy = _heavy_edges(instance, tour)
+    f = tour_cost(instance, optimal_tour) - instance.n
+    return _check_runs(instance, optimal_tour, f, [(predicate, tour.order, heavy)])[0]
+
+
+def _tour_label(instance: Instance, ledger: CounterLedger, heavy: np.ndarray) -> str:
+    """Label of the first failed check that holds under either predicate, or ""."""
     report = check_counter_properties(instance, ledger)
     if not report.all_pass:
         bad = next(i for i in range(1, 6) if not report.check(i).passed)
-        return False, f"property-{bad}"
+        return f"property-{bad}"
     if not count_bound_check(ledger):
-        return False, "count-bound"
-    if find_forbidden_constellation(instance, tour) is not None:
-        return False, "forbidden-constellation"
+        return "count-bound"
+    if _constellation(instance, ledger.tour.order, heavy) is not None:
+        return "forbidden-constellation"
     if endpoint_pair_violations(instance, ledger.decomposition):
-        return False, "endpoint-pair"
-    if predicate == "pp":
-        if not pp_path_checks(ledger).passed:
-            return False, "pp-path-limit"
-    return True, ""
+        return "endpoint-pair"
+    return ""
+
+
+def _check_runs(
+    instance: Instance, reference: Tour, f: int, runs: list[tuple[str, tuple[int, ...], np.ndarray]]
+) -> list[tuple[bool, str]]:
+    """structural_checks of each (predicate, order, heavy mask) run on
+    instance against the reference tour, which has f cost-2 edges.
+
+    The ledger and the checks that hold under either predicate run once per
+    distinct order; the pp path limits, which come last, run on each pp run.
+    """
+    nbr = _neighbours(reference)
+    checked: dict[tuple[int, ...], tuple[CounterLedger, str]] = {}
+    out = []
+    for predicate, order, heavy in runs:
+        if order not in checked:
+            ledger = _ledger(instance, Tour(order), heavy, nbr, f)
+            checked[order] = ledger, _tour_label(instance, ledger, heavy)
+        ledger, label = checked[order]
+        if not label and predicate == "pp" and not pp_path_checks(ledger).passed:
+            label = "pp-path-limit"
+        out.append((not label, label))
+    return out
 
 
 def _sweep_cell(cell: tuple[int, float, tuple[int, ...]]) -> tuple[RunRecord, ...]:
@@ -119,6 +150,9 @@ def _sweep_cell(cell: tuple[int, float, tuple[int, ...]]) -> tuple[RunRecord, ..
     Each predicate descends from every instance's identity and seeded
     random start in one lock-step _descend, which ends a run only when its
     whole 3-move neighborhood holds no accepted move: that scan certifies it.
+    One fancy index over the cell's stacked cost matrices gives every final
+    tour's heavy mask, and so its cost; _check_runs checks an instance's
+    four runs against its Held-Karp optimum, each distinct final tour once.
     """
     n, p, seeds = cell
     instances = [random_instance(n, p, seed) for seed in seeds]
@@ -126,16 +160,24 @@ def _sweep_cell(cell: tuple[int, float, tuple[int, ...]]) -> tuple[RunRecord, ..
     starts = ("identity", "random")
     rows = [instance for instance in instances for _ in starts]
     orders = [_start_order(n, shuffle) for seed in seeds for shuffle in (None, seed + 777)]
-    finals = {
-        predicate: _descend(rows, orders, 3, predicate == "pp")[0] for predicate in ("plain", "pp")
-    }
+    stack = np.stack([instance.cost_matrix for instance in instances])
+    row_instance = np.arange(len(rows))[:, None] // len(starts)
+    finals, heavy, costs = {}, {}, {}
+    for predicate in ("plain", "pp"):
+        final = _descend(rows, orders, 3, predicate == "pp")[0]
+        finals[predicate] = list(map(tuple, final.tolist()))
+        heavy[predicate] = stack[row_instance, final, np.roll(final, -1, axis=1)] == 2
+        costs[predicate] = (n + np.count_nonzero(heavy[predicate], axis=1)).tolist()
     records = []
     for index, instance in enumerate(instances):
         opt = held_karp(instance)
-        for predicate, (s, start) in itertools.product(("plain", "pp"), enumerate(starts)):
-            tour = Tour(tuple(finals[predicate][2 * index + s].tolist()))
-            cost = tour_cost(instance, tour)
-            ok, detail = structural_checks(instance, tour, opt.tour, predicate)
+        # The instance's runs in record order, as (predicate, row).
+        runs = [(pr, r) for pr in ("plain", "pp") for r in (2 * index, 2 * index + 1)]
+        checks = _check_runs(
+            instance, opt.tour, opt.cost - n, [(pr, finals[pr][r], heavy[pr][r]) for pr, r in runs]
+        )
+        for (predicate, r), (ok, detail) in zip(runs, checks):
+            cost = costs[predicate][r]
             ratio = Fraction(cost, opt.cost)
             bound = BOUND_PP if predicate == "pp" else BOUND_PLAIN
             if ok and ratio > bound:
@@ -146,7 +188,7 @@ def _sweep_cell(cell: tuple[int, float, tuple[int, ...]]) -> tuple[RunRecord, ..
                     p=p,
                     index=index,
                     predicate=predicate,
-                    start=start,
+                    start=starts[r % 2],
                     cost=cost,
                     optimum=opt.cost,
                     ratio=ratio,

@@ -243,14 +243,21 @@ class PathDecomposition:
     whole_cycle: bool = False
 
 
-def one_path_decomposition(instance: Instance, tour: Tour) -> PathDecomposition:
-    """Split the tour at its cost-2 edges into maximal cost-1 segments."""
-    heavy = np.flatnonzero(_heavy_edges(instance, tour)).tolist()
-    if not heavy:
+def _decompose(order: tuple[int, ...], heavy: np.ndarray) -> PathDecomposition:
+    """The 1-paths of a tour order, split at the edges its heavy mask (see
+    _order_heavy) marks."""
+    cuts = np.flatnonzero(heavy).tolist()
+    if not cuts:
         return PathDecomposition(paths=(), whole_cycle=True)
     # Each path runs from just past one heavy edge to the start of the next,
     # read in the doubled order so that the last path wraps.
-    o = tour.order * 2
-    stops = heavy[1:] + [heavy[0] + instance.n]
-    paths = (o[a + 1 : b + 1] for a, b in zip(heavy, stops))
+    o = order * 2
+    stops = cuts[1:] + [cuts[0] + len(order)]
+    paths = (o[a + 1 : b + 1] for a, b in zip(cuts, stops))
     return PathDecomposition(paths=tuple(sorted(min(p, p[::-1]) for p in paths)))
+
+
+def one_path_decomposition(instance: Instance, tour: Tour) -> PathDecomposition:
+    """Split the tour at its cost-2 edges into maximal cost-1 segments:
+    _decompose of the tour's order and heavy mask."""
+    return _decompose(tour.order, _heavy_edges(instance, tour))

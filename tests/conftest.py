@@ -21,7 +21,7 @@ import time
 import pytest
 from hypothesis import strategies as st
 
-from kopt12 import Instance, SweepConfig, Tour, identity_tour, run_sweep, structural_checks
+from kopt12 import Instance, SweepConfig, Tour, identity_tour, run_sweep
 from kopt12 import cli
 
 
@@ -76,15 +76,17 @@ def constellation_instance() -> Instance:
 def default_sweep():
     """The default sweep, its wall time, and each run's (instance, final
     tour, optimal tour, predicate) in record order, recorded through
-    cli.structural_checks."""
+    cli._check_runs, which the sweep calls once per instance with its four
+    runs in record order."""
     runs = []
+    check_runs = cli._check_runs
 
-    def recording(instance, tour, optimal_tour, predicate):
-        runs.append((instance, tour, optimal_tour, predicate))
-        return structural_checks(instance, tour, optimal_tour, predicate)
+    def recording(instance, reference, f, checks):
+        runs.extend((instance, Tour(order), reference, predicate) for predicate, order, _ in checks)
+        return check_runs(instance, reference, f, checks)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cli, "structural_checks", recording)
+        patch.setattr(cli, "_check_runs", recording)
         start = time.perf_counter()
         result = run_sweep(SweepConfig())
         elapsed = time.perf_counter() - start

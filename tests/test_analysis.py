@@ -174,6 +174,20 @@ def test_pp_path_limits_bound_the_counters_by_2h(instance, data):
         assert ledger.total <= 2 * ledger.h
 
 
+@settings(max_examples=200, deadline=None)
+@given(instances(min_n=4, max_n=10), st.data())
+def test_placed_ledgers_pass_properties_1_and_5(instance, data):
+    """A vertex has two reference edges, each 1-path at most two ends, and
+    each end two reference edges: so every placed ledger, whatever its tour
+    and reference, passes properties 1 and 5.  Only hand-built ledgers
+    (below) fail them."""
+    tour, reference = (
+        Tour(tuple(data.draw(st.permutations(range(instance.n))))) for _ in range(2)
+    )
+    report = check_counter_properties(instance, distribute_counters(instance, tour, reference))
+    assert report.check(1).passed and report.check(5).passed
+
+
 def test_merging_family_ledger_is_all_bad():
     """Every path endpoint has two cost-1 reference neighbors, no singletons."""
     fam = gen_three_opt_pp_lb(2)

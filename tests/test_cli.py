@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import sys
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -27,7 +28,7 @@ from kopt12 import (
     tour_cost,
 )
 from kopt12.analysis import BOUND_PLAIN, BOUND_PP
-from kopt12 import analysis, cli, moves
+from kopt12 import analysis, cli, core, moves
 from kopt12.core import check_dense_size
 from kopt12.cli import main
 
@@ -509,6 +510,54 @@ class TestSweep:
             (moves, "find_improving"),
         ):
             monkeypatch.setattr(module, name, refuse)
+        assert run_sweep(config) == expected
+
+    def test_only_pp_path_limits_split_a_shared_tour(self, monkeypatch):
+        # A check that holds under either predicate runs once per distinct
+        # final tour and labels its plain and pp runs alike; the pp path
+        # limits, checked last, label only the pp runs, also where a plain
+        # and a pp run end on the same tour.
+        config = SweepConfig(n_min=9, n_max=9, per_cell=4, p_values=(0.5,))
+        shared = []
+        check_runs = cli._check_runs
+
+        def recording(instance, reference, f, runs):
+            plain = {order for predicate, order, _ in runs if predicate == "plain"}
+            shared.append(any(order in plain for predicate, order, _ in runs if predicate == "pp"))
+            return check_runs(instance, reference, f, runs)
+
+        monkeypatch.setattr(cli, "_check_runs", recording)
+        assert all(r.checks_ok for r in run_sweep(config).records)
+        assert any(shared)
+        endpoint_pairs = cli.endpoint_pair_violations
+        monkeypatch.setattr(cli, "endpoint_pair_violations", lambda instance, dec: [(0, 1)])
+        assert {r.detail for r in run_sweep(config).records} == {"endpoint-pair"}
+        monkeypatch.setattr(cli, "endpoint_pair_violations", endpoint_pairs)
+        over = analysis.PathCheckReport((analysis.PathViolation("path-capacity", 0, (3, 2)),))
+        monkeypatch.setattr(cli, "pp_path_checks", lambda ledger: over)
+        records = run_sweep(config).records
+        assert [r.detail for r in records] == [
+            "pp-path-limit" if r.predicate == "pp" else "" for r in records
+        ]
+
+    def test_sweep_prices_no_tour_itself(self, monkeypatch):
+        # The cell's heavy masks give every run's cost and feed its checks:
+        # the sweep calls neither _heavy_edges nor tour_cost.
+        config = SweepConfig(n_min=8, n_max=8, per_cell=4, p_values=(0.3, 0.7))
+        expected = run_sweep(config)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sweep priced a tour")
+
+        patched = set()
+        for name in ("_heavy_edges", "tour_cost"):
+            original = getattr(core, name)
+            for module_name, module in list(sys.modules.items()):
+                if module_name.split(".")[0] == "kopt12" and getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, refuse)
+                    patched.add((module_name, name))
+        assert {("kopt12.cli", "_heavy_edges"), ("kopt12.cli", "tour_cost")} <= patched
+        assert {("kopt12.analysis", "tour_cost"), ("kopt12.certify", "_heavy_edges")} <= patched
         assert run_sweep(config) == expected
 
     def test_workers_clamped_to_cpu_count(self, monkeypatch):

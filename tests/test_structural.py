@@ -10,6 +10,7 @@ tour, locally optimal or not.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -31,8 +32,10 @@ from kopt12 import (
     one_path_decomposition,
     random_instance,
     structural_checks,
+    tour_cost,
 )
 from kopt12 import cli, moves
+from kopt12.analysis import BOUND_PLAIN, BOUND_PP
 
 from conftest import instances
 
@@ -133,6 +136,23 @@ def test_default_sweep_tours_match_the_references(default_sweep):
             "endpoint-pairs": [],
             "property-2": None,
         }
+
+
+def test_default_sweep_records_match_the_one_run_path(default_sweep):
+    # The sweep reads costs from its cell's heavy masks and checks each
+    # distinct final tour once; each record must be what structural_checks
+    # of its own tour, then the ratio-bound rule, give.
+    result, _, checked = default_sweep
+    assert len(checked) == len(result.records)
+    for record, (instance, tour, optimal_tour, predicate) in zip(result.records, checked):
+        assert (record.n, record.predicate) == (instance.n, predicate)
+        cost, optimum = tour_cost(instance, tour), tour_cost(instance, optimal_tour)
+        ok, detail = structural_checks(instance, tour, optimal_tour, predicate)
+        ratio = Fraction(cost, optimum)
+        if ok and ratio > (BOUND_PP if predicate == "pp" else BOUND_PLAIN):
+            ok, detail = False, "ratio-bound"
+        assert (record.cost, record.optimum, record.ratio) == (cost, optimum, ratio)
+        assert (record.checks_ok, record.detail) == (ok, detail)
 
 
 @settings(max_examples=150, deadline=None)
