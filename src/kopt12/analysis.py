@@ -164,8 +164,8 @@ def _neighbours(tour: Tour) -> _Nbrs:
 
 
 def _ledger(instance: Instance, tour: Tour, heavy, nbr: _Nbrs, f: int) -> CounterLedger:
-    """The counter ledger of a tour whose heavy mask (see core._order_heavy)
-    is given, against a reference with tour neighbours nbr and f cost-2 edges."""
+    """The counter ledger of a tour, given its row of core._order_heavy as
+    heavy, against a reference with tour neighbours nbr and f cost-2 edges."""
     dec = _decompose(tour.order, heavy)
     # Each 1-path is followed by exactly one cost-2 tour edge.
     l = len(dec.paths)

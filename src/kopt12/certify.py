@@ -58,8 +58,8 @@ def certify_kpp_optimal(instance: Instance, tour: Tour, k: int) -> Certificate:
 def _constellation(
     instance: Instance, order: tuple[int, ...], heavy
 ) -> tuple[int, int, int, int, int, int] | None:
-    """find_forbidden_constellation of a tour order whose heavy mask (see
-    core._order_heavy) is given."""
+    """find_forbidden_constellation of a tour order whose heavy mask (its
+    row of core._order_heavy) is given."""
     heavy = heavy.tolist()
     n = instance.n
     pos = {x: i for i, x in enumerate(order)}

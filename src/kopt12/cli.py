@@ -45,7 +45,7 @@ from .certify import (
     certify_kpp_optimal,
     endpoint_pair_violations,
 )
-from .constructions import FAMILIES, FamilyOutput, random_instance
+from .constructions import FAMILIES, FamilyOutput, _check_probability, random_instance
 from .core import Instance, Tour, _heavy_edges, tour_cost
 from .errors import InvalidArgumentError, Kopt12Error
 from .exact import check_held_karp_size, held_karp
@@ -150,9 +150,9 @@ def _sweep_cell(cell: tuple[int, float, tuple[int, ...]]) -> tuple[RunRecord, ..
     Each predicate descends from every instance's identity and seeded
     random start in one lock-step _descend, which ends a run only when its
     whole 3-move neighborhood holds no accepted move: that scan certifies it.
-    One fancy index over the cell's stacked cost matrices gives every final
-    tour's heavy mask, and so its cost; _check_runs checks an instance's
-    four runs against its Held-Karp optimum, each distinct final tour once.
+    The descent also returns every final tour's heavy mask, and so its cost;
+    _check_runs checks an instance's four runs against its Held-Karp
+    optimum, each distinct final tour once.
     """
     n, p, seeds = cell
     instances = [random_instance(n, p, seed) for seed in seeds]
@@ -160,13 +160,10 @@ def _sweep_cell(cell: tuple[int, float, tuple[int, ...]]) -> tuple[RunRecord, ..
     starts = ("identity", "random")
     rows = [instance for instance in instances for _ in starts]
     orders = [_start_order(n, shuffle) for seed in seeds for shuffle in (None, seed + 777)]
-    stack = np.stack([instance.cost_matrix for instance in instances])
-    row_instance = np.arange(len(rows))[:, None] // len(starts)
     finals, heavy, costs = {}, {}, {}
     for predicate in ("plain", "pp"):
-        final = _descend(rows, orders, 3, predicate == "pp")[0]
+        final, _, heavy[predicate] = _descend(rows, orders, 3, predicate == "pp")
         finals[predicate] = list(map(tuple, final.tolist()))
-        heavy[predicate] = stack[row_instance, final, np.roll(final, -1, axis=1)] == 2
         costs[predicate] = (n + np.count_nonzero(heavy[predicate], axis=1)).tolist()
     records = []
     for index, instance in enumerate(instances):
@@ -215,6 +212,8 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     if config.workers < 1:
         raise InvalidArgumentError("need at least one worker")
     check_held_karp_size(config.n_max)
+    for p in config.p_values:
+        _check_probability(p)
     workers = min(config.workers, os.cpu_count() or 1)
     cells = [
         (n, p, tuple(config.seed * 1000003 + n * 1009 + idx for idx in range(config.per_cell)))

@@ -275,6 +275,11 @@ def is_regular(family: str, s_check: int, l: int) -> RegularityResult:
     return RegularityResult(regular=True, condition=None, violation=None)
 
 
+def _check_probability(p: float) -> None:
+    if not 0.0 <= p <= 1.0:
+        raise InvalidArgumentError(f"edge probability must be in [0, 1], got {p}")
+
+
 def random_instance(n: int, p: float, seed: int) -> Instance:
     """Each vertex pair gets cost 1 with probability p, independently.
 
@@ -283,8 +288,7 @@ def random_instance(n: int, p: float, seed: int) -> Instance:
     """
     if n < MIN_N:
         raise InvalidArgumentError(f"need n >= {MIN_N}, got {n}")
-    if not 0.0 <= p <= 1.0:
-        raise InvalidArgumentError(f"edge probability must be in [0, 1], got {p}")
+    _check_probability(p)
     check_dense_bytes(n * n + math.ceil(_EDGE_SET_BYTES * p * n * n), n, "a random instance")
     rng = random.Random(seed)
     edges = frozenset(

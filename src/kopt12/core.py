@@ -207,20 +207,20 @@ def validate_tour(instance: Instance, tour: Tour) -> None:
         raise WrongLengthError(f"tour has {tour.n} entries, expected {instance.n}")
 
 
-def _order_heavy(instance: Instance, order: tuple[int, ...] | np.ndarray) -> np.ndarray:
-    """Bool mask over the edges of a tour order of instance.n vertices:
-    entry i is whether the edge from order[i] to order[i+1] (order[0] for
-    the last) costs 2."""
-    ends = np.empty(len(order) + 1, dtype=np.intp)
-    ends[:-1] = order
-    ends[-1] = order[0]
-    return instance.cost_matrix[ends[:-1], ends[1:]] == 2
+def _order_heavy(costs: np.ndarray, orders: np.ndarray) -> np.ndarray:
+    """Masks (R, n) over the edges of tour orders (R, n) by cost matrices
+    (R, n, n), read by one flat take: entry (r, i) is whether the edge from
+    orders[r, i] to orders[r, i+1] (orders[r, 0] for the last) costs 2."""
+    rows, n = orders.shape
+    index = np.concatenate((orders[:, 1:], orders[:, :1]), axis=1)
+    index += orders * n + np.arange(0, rows * n * n, n * n)[:, None]
+    return costs.take(index) == 2
 
 
 def _heavy_edges(instance: Instance, tour: Tour) -> np.ndarray:
-    """_order_heavy of the tour's order, once the tour is checked."""
+    """_order_heavy of the tour's order, a stack of one, once the tour is checked."""
     validate_tour(instance, tour)
-    return _order_heavy(instance, tour.order)
+    return _order_heavy(instance.cost_matrix[None], np.array([tour.order], dtype=np.intp))[0]
 
 
 def tour_cost(instance: Instance, tour: Tour) -> int:
@@ -244,8 +244,8 @@ class PathDecomposition:
 
 
 def _decompose(order: tuple[int, ...], heavy: np.ndarray) -> PathDecomposition:
-    """The 1-paths of a tour order, split at the edges its heavy mask (see
-    _order_heavy) marks."""
+    """The 1-paths of a tour order, split at the edges its heavy mask (its
+    row of _order_heavy) marks."""
     cuts = np.flatnonzero(heavy).tolist()
     if not cuts:
         return PathDecomposition(paths=(), whole_cycle=True)

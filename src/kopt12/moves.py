@@ -79,14 +79,14 @@ Descents run on int arrays of tour orders, the array representation of
 Bentley (1992): each step takes the least accepted key from the scan and
 applies it by segment reversals and exchanges (_reconnect) followed by one
 roll and at most one flip back to the canonical order that apply_move
-returns.  _descend runs many descents on the same n in lock step: each
-step scans every row still descending by one _scan_keys call, and applies
-each row's move by _reconnect.  local_search is a descent of one row, which
-reads its cost matrix in place, and the sweep descends each (n, p) cell's
-tours together; a Tour is built only for each result.  find_improving is
-a scan of one row that turns the key into a KMove with its gain; it,
-apply_move and enumerate_kmoves are the oracles the tests hold the descent
-to.
+returns.  _descend runs many descents on the same n in lock step: each step
+scans every row still descending by one _scan_keys call and applies each
+row's move by _reconnect, and one read of the final tours' heavy masks
+prices them.  local_search is a descent of one row, which reads its cost
+matrix in place, and the sweep descends each (n, p) cell's tours together;
+a Tour is built only for each result.  find_improving is a scan of one row
+that turns the key into a KMove with its gain; it, apply_move and
+enumerate_kmoves are the oracles the tests hold the descent to.
 """
 
 from __future__ import annotations
@@ -111,7 +111,6 @@ from .core import (
     cost_edge,
     cycle_from_edges,
     identity_tour,
-    tour_cost,
     validate_tour,
 )
 from .errors import InvalidArgumentError, InvalidMoveError
@@ -798,8 +797,8 @@ def _anchored_key(
     instance: Instance, order: np.ndarray, heavy: np.ndarray, k: int, plusplus: bool = False
 ) -> tuple | None:
     """Least accepted scan key of the tour order, or None, from walks that
-    start at its heavy edges (heavy from _order_heavy), under the plain
-    predicate or, for k = 2, under ++."""
+    start at its heavy edges (heavy, its row of _order_heavy), under the
+    plain predicate or, for k = 2, under ++."""
     n = instance.n
     hp = np.flatnonzero(heavy)
     if not hp.size:
@@ -898,7 +897,7 @@ def _scan_keys(
         if keys[at] is not None:
             continue
         instance, order = instances[r], orders[r]
-        heavy = _order_heavy(instance, order)
+        heavy = _order_heavy(costs[r : r + 1], orders[r : r + 1])[0]
         # With no isolated vertex no move lowers their count: ++ accepts what plain does.
         pp = plusplus and bool(_isolated(heavy).any())
         if k == 2 or (not pp and (
@@ -971,24 +970,22 @@ def _start_order(n: int, seed: int | None) -> tuple[int, ...]:
 
 def _descend(
     instances: list[Instance], orders: list, k: int, plusplus: bool
-) -> tuple[np.ndarray, list[int]]:
+) -> tuple[np.ndarray, list[int], np.ndarray]:
     """First-improvement descents of tour orders, orders[r] on instances[r],
     all on n vertices, in lock step.
 
-    Returns the final orders, one row each, and each row's iterations: its
-    scans, the last of which found no move.  Each step scans every row
-    still descending by _scan_keys and applies each row's move by
-    _reconnect.
+    Returns the final orders, one row each, each row's iterations (its
+    scans, the last of which found no move) and their heavy masks, one
+    _order_heavy.  Each step scans every row still descending by _scan_keys
+    and applies each row's move by _reconnect.
     """
     orders = np.array(orders, dtype=np.intp)
     n = orders.shape[1]
     iterations = [0] * len(orders)
     active = np.arange(len(orders))
     # One row reads its cost matrix in place, not as an n^2 copy in a stack.
-    if len(instances) == 1:
-        costs = instances[0].cost_matrix[None]
-    else:
-        costs = np.stack([instance.cost_matrix for instance in instances])
+    matrices = [instance.cost_matrix for instance in instances]
+    costs = matrices[0][None] if len(matrices) == 1 else np.stack(matrices)
     # Every accepted move lowers (n+1) * cost + isolated vertices by at least
     # 1, from at most 2n^2 + 3n to at least n^2 + n: n^2 + 2n moves at most.
     limit = n**2 + 2 * n + 1
@@ -1002,7 +999,7 @@ def _descend(
                 orders[r] = _reconnect(orders[r], key)
                 moving.append(r)
         if not moving:
-            return orders, iterations
+            return orders, iterations, _order_heavy(costs, orders)
         active = np.array(moving)
     raise InvalidMoveError(f"descent still finds moves after {limit} iterations")
 
@@ -1026,12 +1023,11 @@ def local_search(
         start = Tour(_start_order(instance.n, seed))
     validate_tour(instance, start)
     _check_scan(instance.n, k, plusplus)
-    orders, iterations = _descend([instance], [start.order], k, plusplus)
-    tour = Tour(tuple(orders[0].tolist()))
+    orders, iterations, heavy = _descend([instance], [start.order], k, plusplus)
     stats = SearchStats(
         iterations=iterations[0],
         moves_applied=iterations[0] - 1,
-        final_cost=tour_cost(instance, tour),
-        final_zero_paths=count_zero_paths(instance, tour),
+        final_cost=instance.n + int(np.count_nonzero(heavy[0])),
+        final_zero_paths=int(np.count_nonzero(_isolated(heavy[0]))),
     )
-    return tour, stats
+    return Tour(tuple(orders[0].tolist())), stats

@@ -12,11 +12,13 @@ from pathlib import Path
 import pytest
 
 from kopt12 import (
+    Instance,
     RunRecord,
     SweepConfig,
     SweepResult,
     certify_k_optimal,
     certify_kpp_optimal,
+    count_zero_paths,
     find_improving_by_enumeration,
     held_karp,
     local_search,
@@ -542,23 +544,40 @@ class TestSweep:
 
     def test_sweep_prices_no_tour_itself(self, monkeypatch):
         # The cell's heavy masks give every run's cost and feed its checks:
-        # the sweep calls neither _heavy_edges nor tour_cost.
+        # the sweep calls neither _heavy_edges nor tour_cost.  local_search
+        # prices its result from the mask its descent returns, with the whole
+        # neighborhood gathered (n = 13) and past the cap (n = 40), also when
+        # vertex 0, with no cost-1 edge, stays isolated.
         config = SweepConfig(n_min=8, n_max=8, per_cell=4, p_values=(0.3, 0.7))
         expected = run_sweep(config)
+        searches = []
+        for n, p in ((13, 0.3), (40, 0.1)):
+            instance = random_instance(n, p, 3)
+            lone = Instance(n, frozenset(e for e in instance.cost1 if 0 not in e))
+            searches += [(inst, pp) for inst in (instance, lone) for pp in (False, True)]
+        found = []
+        for instance, plusplus in searches:
+            tour, stats = local_search(instance, plusplus=plusplus, seed=1)
+            priced = (tour_cost(instance, tour), count_zero_paths(instance, tour))
+            found.append((tour, replace(stats, final_cost=priced[0], final_zero_paths=priced[1])))
+        assert any(stats.final_zero_paths for _, stats in found)
 
         def refuse(*args, **kwargs):
-            raise AssertionError("the sweep priced a tour")
+            raise AssertionError("a finished tour was priced again")
 
         patched = set()
-        for name in ("_heavy_edges", "tour_cost"):
-            original = getattr(core, name)
+        for original in (core._heavy_edges, core.tour_cost, moves.count_zero_paths):
+            name = original.__name__
             for module_name, module in list(sys.modules.items()):
                 if module_name.split(".")[0] == "kopt12" and getattr(module, name, None) is original:
                     monkeypatch.setattr(module, name, refuse)
                     patched.add((module_name, name))
         assert {("kopt12.cli", "_heavy_edges"), ("kopt12.cli", "tour_cost")} <= patched
         assert {("kopt12.analysis", "tour_cost"), ("kopt12.certify", "_heavy_edges")} <= patched
+        assert ("kopt12.moves", "count_zero_paths") in patched
         assert run_sweep(config) == expected
+        for (instance, plusplus), result in zip(searches, found):
+            assert local_search(instance, plusplus=plusplus, seed=1) == result
 
     def test_workers_clamped_to_cpu_count(self, monkeypatch):
         pool_sizes = []
@@ -624,6 +643,18 @@ class TestSweep:
         assert main(["sweep", *options]) == 2
         captured = capsys.readouterr()
         assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("bad", ["1.5", "-0.1"])
+    def test_bad_sweep_p_refused_before_any_instance(self, capsys, monkeypatch, bad):
+        # The bad p comes last, after cells that would each be solved first.
+        def refuse(*args):
+            raise AssertionError("the sweep generated an instance")
+
+        monkeypatch.setattr(cli, "random_instance", refuse)
+        assert main(["sweep", "--p", "0.3", "0.5", "0.7", bad]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: edge probability must be in [0, 1], got {float(bad)}\n"
         assert captured.out == ""
 
 

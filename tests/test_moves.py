@@ -49,7 +49,7 @@ from kopt12 import (
     tour_cost,
 )
 from kopt12 import moves
-from kopt12.core import _order_heavy
+from kopt12.core import _heavy_edges, _order_heavy
 from kopt12.moves import (
     _ANCHOR_COST,
     _PATTERN_ENDS,
@@ -265,7 +265,8 @@ def _last_gathered_key(n, k):
 def _anchored(instance, order, k, plusplus=False):
     """The anchored scan's key for a tour order (any sequence)."""
     order = np.array(order, dtype=np.intp)
-    return _anchored_key(instance, order, _order_heavy(instance, order), k, plusplus)
+    heavy = _order_heavy(instance.cost_matrix[None], order[None])[0]
+    return _anchored_key(instance, order, heavy, k, plusplus)
 
 
 def _pair_key(A, plusplus):
@@ -562,10 +563,14 @@ def test_lock_step_descents_past_the_gather_cap_match_local_search(monkeypatch, 
             starts += [_shuffled_tour(n, seed + 1), near]
         with monkeypatch.context() as patched:
             patched.setattr(moves, "_gathered_key", recording)
-            orders, iterations = moves._descend(instances, [t.order for t in starts], k, plusplus)
-        for instance, start, order, count in zip(instances, starts, orders, iterations):
+            orders, iterations, heavy = moves._descend(
+                instances, [t.order for t in starts], k, plusplus
+            )
+        for instance, start, order, count, mask in zip(instances, starts, orders, iterations, heavy):
             tour, stats = local_search(instance, start=start, k=k, plusplus=plusplus)
             assert (tuple(order.tolist()), count) == (tour.order, stats.iterations), n
+            # Each row's mask is read from its own instance's cost matrix.
+            assert np.array_equal(mask, _heavy_edges(instance, tour)), n
     assert any(None in keys and keys.count(None) < len(keys) for keys in steps)
 
 
@@ -625,7 +630,7 @@ def test_anchored_scan_matches_blocked_along_plain_descents(k):
         instance = random_instance(n, p, seed)
         start = np.array(_shuffled_tour(n, seed).order, dtype=np.intp)
         for order, key in _dense_descent(instance, start, k):
-            heavy = _order_heavy(instance, order)
+            heavy = _order_heavy(instance.cost_matrix[None], order[None])[0]
             assert _anchored_key(instance, order, heavy, k) == key, (n, p, order.tolist())
             assert _scanned(instance, order, k, False) == key, (n, p, order.tolist())
             if k == 3:
