@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -223,6 +222,9 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     if workers == 1:
         groups = [_sweep_cell(cell) for cell in cells]
     else:
+        # Imported here, so a single worker never loads the process pool.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             groups = list(pool.map(_sweep_cell, cells))
     records = tuple(r for g in groups for r in g)

@@ -663,8 +663,9 @@ def _stacked_costs(
 # lying next to x or x1), so the first two of each range are tried.  That
 # is O(l d^2) candidates from l heavy edges and light degree at most d, with
 # no (n+1)^2 position costs, against the n^2 tables and n^3 triples of a
-# blocked scan.  Each candidate's gain is exact, and the accepted ones map
-# to their scan keys, of which the least is returned: the blocked scan's key.
+# blocked scan.  Each candidate's gain is exact, the accepted ones map to
+# their scan keys by a table read off the generator, and the least key is
+# returned: the blocked scan's key.
 #
 # Under ++ a 2-move is also accepted at gain 0 when it lowers the number of
 # isolated vertices (vertices both of whose tour edges are heavy).  Only the
@@ -695,37 +696,32 @@ _ANCHOR_BYTES_PER_CANDIDATE = 256
 # times this are fewer than n^2.  Measured on shuffled-start descents at
 # n = 60 to 600: about 130 ns a candidate against 33 ns an entry.
 _ANCHOR_COST = 4
-# Key pattern id by a triple's adjacency kind (1: i and j adjacent, 2: j and
-# k adjacent, 4: the wrap pair, i = 0 and k = n - 1) and its pattern.  The
-# two removed edges of an adjacent pair share a vertex, so two patterns add
-# the same edges, numbered as the generator yields them, and the other two
-# add a tour edge; with two adjacencies no move is left.
-_PID_BY_KIND = np.zeros((8, 5), dtype=np.intp)
-_PID_BY_KIND[0] = range(5)
-_PID_BY_KIND[1, [2, 4]] = 2
-_PID_BY_KIND[2, [2, 3]] = 2
-_PID_BY_KIND[4, [1, 2]] = 1
-
-
-def _walk_patterns() -> np.ndarray:
-    """Pattern id, or 0 for a walk that is no pattern, of each walk through
-    removed edges of ranks r0, r1, r2 entered at ends a0, a1, a2, at index
-    8 (3 r0 + r1) + 4 a0 + 2 a1 + a2."""
-    table = np.zeros(72, dtype=np.intp)
-    for ranks in itertools.permutations(range(3)):
-        for ins in itertools.product((0, 1), repeat=3):
-            # Pattern labels: end e of the edge of rank r is 2r + e.
-            added = {
-                frozenset((2 * ranks[s] + 1 - ins[s], 2 * ranks[s - 2] + ins[s - 2]))
-                for s in range(3)
-            }
-            for pid, pattern in enumerate(_PATTERNS, 1):
-                if added == {frozenset(p) for p in pattern}:
-                    table[8 * (3 * ranks[0] + ranks[1]) + 4 * ins[0] + 2 * ins[1] + ins[2]] = pid
+def _walk_pids() -> np.ndarray:
+    """Key pattern id, or 0 for no move, of each walk by its triple's
+    adjacency kind (1: i and j adjacent, 2: j and k adjacent, 4: the wrap
+    pair, i = 0 and k = n - 1), read off the generator at one triple of
+    positions per kind on 8 vertices.  The walk through removed edges of
+    ranks r0, r1, r2 entered at ends a0, a1, a2 is at index 8 (3 r0 + r1) +
+    4 a0 + 2 a1 + a2.  The two removed edges of an adjacent pair share a
+    vertex, so two walks add the same edges and take the generator's one id,
+    and the others add a tour edge; with two adjacencies no move is left."""
+    n = 8
+    # Pair keys also enter, but their two removed edges match no triple's.
+    pids = {(mv.removed, mv.added): key[-1] for key, mv in _keyed_kmoves(identity_tour(n), 3)}
+    table = np.zeros((8, 72), dtype=np.intp)
+    for kind, pos in ((0, (1, 3, 5)), (1, (1, 2, 5)), (2, (1, 3, 4)), (4, (0, 3, 7))):
+        removed = frozenset(canonical_edge(x, (x + 1) % n) for x in pos)
+        for ranks in itertools.permutations(range(3)):
+            for ins in itertools.product((0, 1), repeat=3):
+                # Each removed edge is entered at end a and left at 1 - a.
+                ends = [((pos[r] + a) % n, (pos[r] + 1 - a) % n) for r, a in zip(ranks, ins)]
+                added = frozenset(canonical_edge(ends[s][1], ends[s - 2][0]) for s in range(3))
+                walk = 8 * (3 * ranks[0] + ranks[1]) + 4 * ins[0] + 2 * ins[1] + ins[2]
+                table[kind, walk] = pids.get((removed, added), 0)
     return table
 
 
-_WALK_PATTERN = _walk_patterns()
+_WALK_PID = _walk_pids()
 
 
 def _key_code(n: int, i: np.ndarray, j: np.ndarray, k1, pid) -> np.ndarray:
@@ -751,12 +747,11 @@ def _triple_codes(n: int, walk: tuple[np.ndarray, ...], ins: tuple[np.ndarray, .
     p0, p1, p2 = walk
     r0 = (p0 > p1).astype(np.intp) + (p0 > p2)
     r1 = (p1 > p0).astype(np.intp) + (p1 > p2)
-    pattern = _WALK_PATTERN[8 * (3 * r0 + r1) + 4 * ins[0] + 2 * ins[1] + ins[2]]
     i = np.minimum(np.minimum(p0, p1), p2)
     k = np.maximum(np.maximum(p0, p1), p2)
     j = p0 + p1 + p2 - i - k
     kind = 1 * (j == i + 1) + 2 * (k == j + 1) + 4 * ((i == 0) & (k == n - 1))
-    pid = _PID_BY_KIND[kind, pattern]
+    pid = _WALK_PID[kind, 8 * (3 * r0 + r1) + 4 * ins[0] + 2 * ins[1] + ins[2]]
     ok = (i < j) & (j < k) & (pid > 0)
     return _key_code(n, i[ok], j[ok], k[ok] + 1, pid[ok])
 

@@ -764,22 +764,23 @@ def test_anchored_certificate_within_byte_budget():
 
 
 def test_triple_codes_name_each_walk_by_its_move():
-    # Every walk through three distinct positions of the identity tour on 13
-    # vertices, entered at every choice of ends: a walk whose added edges make
-    # a triple of the generator maps to that triple's key, every other walk
-    # (a subtour, a tour edge added, two adjacencies) to none.
-    n = 13
-    tour = identity_tour(n)
-    keys = {(mv.removed, mv.added): key for key, mv in _keyed_kmoves(tour, 3)}
-    for walk in itertools.permutations(range(n), 3):
-        removed = frozenset(canonical_edge(x, (x + 1) % n) for x in walk)
-        for ins in itertools.product((0, 1), repeat=3):
-            ends = [((x + a) % n, (x + 1 - a) % n) for x, a in zip(walk, ins)]
-            added = frozenset(canonical_edge(ends[s][1], ends[s - 2][0]) for s in range(3))
-            columns = (tuple(np.array([v]) for v in values) for values in (walk, ins))
-            found = [moves._key_from_code(n, int(c)) for c in moves._triple_codes(n, *columns)]
-            expected = keys.get((removed, added))
-            assert found == ([] if expected is None else [expected]), (walk, ins)
+    # Every walk through three distinct positions of the identity tour on 6,
+    # 7 and 13 vertices, entered at every choice of ends: a walk whose added
+    # edges make a triple of the generator maps to that triple's key, every
+    # other walk (a subtour, a tour edge added, two adjacencies) to none.  On
+    # the small cycles the wrap and the adjacent kinds overlap most.
+    for n in (6, 7, 13):
+        tour = identity_tour(n)
+        keys = {(mv.removed, mv.added): key for key, mv in _keyed_kmoves(tour, 3)}
+        for walk in itertools.permutations(range(n), 3):
+            removed = frozenset(canonical_edge(x, (x + 1) % n) for x in walk)
+            for ins in itertools.product((0, 1), repeat=3):
+                ends = [((x + a) % n, (x + 1 - a) % n) for x, a in zip(walk, ins)]
+                added = frozenset(canonical_edge(ends[s][1], ends[s - 2][0]) for s in range(3))
+                columns = (tuple(np.array([v]) for v in values) for values in (walk, ins))
+                found = [moves._key_from_code(n, int(c)) for c in moves._triple_codes(n, *columns)]
+                expected = keys.get((removed, added))
+                assert found == ([] if expected is None else [expected]), (n, walk, ins)
 
 
 def _key_instance(n, keys, k=3):

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import os
 import pydoc
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -40,3 +44,19 @@ def test_help_lists_every_export():
     assert "\nCLASSES\n" in text and "\nFUNCTIONS\n" in text
     for name in kopt12.__all__:
         assert re.search(rf"^    (class )?{name}\b", text, re.MULTILINE), name
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # Only a sweep with more than one worker uses the process pool, so a
+    # fresh interpreter's import of the package loads none of it.
+    src = str(Path(kopt12.__file__).parents[1])
+    code = (
+        "import sys, kopt12\n"
+        "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, encoding="utf-8",
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
